@@ -91,6 +91,19 @@ def _extract_summary(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("url").reset_index(drop=True)
 
 
+def _html_by_url(path: str, urls) -> dict:
+    """Page bytes of the sampled urls. The url predicate is pushed down into
+    the parquet scan, so only matching rows are read and collected."""
+    import pyarrow.compute as pc
+    import ray.data
+
+    need = sorted(set(urls))
+    sample = ray.data.read_parquet(
+        path, columns=["url", "html"], filter=pc.field("url").isin(need)
+    ).to_pandas()
+    return dict(zip(sample["url"], sample["html"]))
+
+
 def _extract_match_rate(sf_dir: str, n_sample: int = 200) -> pd.DataFrame:
     """Live north-star metric: pipeline output vs oracle, byte match rate."""
     import ray.data
@@ -103,15 +116,7 @@ def _extract_match_rate(sf_dir: str, n_sample: int = 200) -> pd.DataFrame:
     src = ray.data.read_parquet(path, columns=PAGES_COLUMNS).limit(n_sample)
     result = build_extract_pipeline(src, ExtractConfig()).to_pandas()
 
-    # Oracle inputs for the sampled urls: a distributed filter + to_pandas
-    # on the (small) matching set — not a driver-side scan of the table.
-    need = set(result["url"])
-    sample = (
-        ray.data.read_parquet(path, columns=["url", "html"])
-        .filter(lambda row: row["url"] in need)
-        .to_pandas()
-    )
-    html_by_url = dict(zip(sample["url"], sample["html"]))
+    html_by_url = _html_by_url(path, result["url"])
 
     n_match = 0
     n_checked = 0
@@ -178,8 +183,6 @@ def _semantic_match_rate(sf_dir: str, n_sample: int = 200) -> pd.DataFrame:
     boundaries, Arrow serialization) is semantically invisible."""
     import ray.data
 
-    from yomitoku_ray.detect import BoilerplateClassifier, PageLayoutEngine
-    from yomitoku_ray.dom import DecodeError, decode_html
     from yomitoku_ray.export.json_export import (
         fast_canonical_json,
         fast_semantic_dump_json,
@@ -188,7 +191,7 @@ def _semantic_match_rate(sf_dir: str, n_sample: int = 200) -> pd.DataFrame:
     from yomitoku_ray.extractor.rule_pipeline import run_rule_extraction
     from yomitoku_ray.extractor.schema import ExtractionSchema
     from yomitoku_ray.pipelines.extract import PAGES_COLUMNS
-    from yomitoku_ray.semantic import semantic_from_detections
+    from yomitoku_ray.semantic import parse_semantic_html_bytes
     from yomitoku_ray.stages.semantic_stage import SemanticExtractStage
 
     schema_dict = {
@@ -207,25 +210,16 @@ def _semantic_match_rate(sf_dir: str, n_sample: int = 200) -> pd.DataFrame:
         concurrency=(2, 8),
     ).to_pandas()
 
-    need = set(result["url"])
-    sample = (
-        ray.data.read_parquet(path, columns=["url", "html"])
-        .filter(lambda row: row["url"] in need)
-        .to_pandas()
-    )
-    html_by_url = dict(zip(sample["url"], sample["html"]))
+    html_by_url = _html_by_url(path, result["url"])
 
-    engine = PageLayoutEngine(BoilerplateClassifier(), collect_semantic=True)
     schema = ExtractionSchema.from_dict(schema_dict)
     n_match = 0
     n_checked = 0
     for row in result.itertuples():
         n_checked += 1
-        try:
-            det = engine.detect(decode_html(html_by_url[row.url] or b""))
-            doc = semantic_from_detections(det, False)
-        except DecodeError:
-            n_match += int(row.error is not None)
+        doc, err = parse_semantic_html_bytes(html_by_url[row.url] or b"")
+        if err is not None:
+            n_match += int(row.error == err)
             continue
         ok = (
             row.error is None
@@ -855,13 +849,17 @@ def _host_link_graph(sf_dir: str, n_pages: int = 1000) -> pd.DataFrame:
     from yomitoku_ray.synth.pages import generate_pages_table
 
     table = generate_pages_table(n_pages)
-    got = host_link_graph(ray.data.from_arrow(table))
+    got = (
+        host_link_graph(ray.data.from_arrow(table))
+        .to_pandas()
+        .sort_values(["src_host", "dst_host"])
+        .reset_index(drop=True)
+    )
 
     want: dict[str, int] = {}
     for r in table.to_pylist():
         h = _domain_of(r["url"]).lower()
         want[h] = want.get(h, 0) + bytes(r["html"]).count(b'<a href="')
-    got = got.copy()
     got["ok_total"] = pd.Series(
         [
             int(s == d and int(n) == want.get(s, 0))
@@ -870,7 +868,7 @@ def _host_link_graph(sf_dir: str, n_pages: int = 1000) -> pd.DataFrame:
         dtype="int64",
     )
     got["n_links"] = got["n_links"].astype("int64")
-    return got.reset_index(drop=True)
+    return got
 
 
 def _wat_roundtrip(sf_dir: str, n_pages: int = 500) -> pd.DataFrame:

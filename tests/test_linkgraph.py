@@ -14,6 +14,10 @@ from yomitoku_ray.synth.pages import generate_pages_table
 _PAD = b"<html><head><title>x</title></head><body>%s</body></html>"
 
 
+def _collect(ds):
+    return ds.to_pandas().sort_values(["src_host", "dst_host"]).reset_index(drop=True)
+
+
 def test_page_out_edges_resolves_and_counts():
     html = _PAD % (
         b"<a href='/rel'>r</a><a href='https://other.example/x'>o</a>"
@@ -69,7 +73,7 @@ def test_host_link_graph_cross_host(ray_session):
             "html": pa.array([r["html"] for r in rows], pa.binary()),
         }
     )
-    got = host_link_graph(ray.data.from_arrow(t))
+    got = _collect(host_link_graph(ray.data.from_arrow(t)))
     want = pd.DataFrame(
         {
             "src_host": ["a.example", "a.example", "b.example"],
@@ -89,7 +93,7 @@ def test_synth_pages_totals_match_byte_pattern(ray_session):
     from yomitoku_ray.functions.merge import _domain_of
 
     table = generate_pages_table(300)
-    got = host_link_graph(ray.data.from_arrow(table))
+    got = _collect(host_link_graph(ray.data.from_arrow(table)))
     assert (got["src_host"] == got["dst_host"]).all()  # relative links only
 
     want: dict[str, int] = {}
@@ -98,3 +102,13 @@ def test_synth_pages_totals_match_byte_pattern(ray_session):
         want[h] = want.get(h, 0) + bytes(r["html"]).count(b'<a href="')
     got_map = dict(zip(got["src_host"], got["n_links"]))
     assert got_map == {h: n for h, n in want.items() if n}
+
+
+def test_host_link_graph_returns_dataset(ray_session):
+    """The edge list is hosts²-bounded, so it stays a Dataset for the
+    caller to sink; nothing is collected on the driver."""
+    import ray.data
+
+    ds = host_link_graph(ray.data.from_arrow(generate_pages_table(20)))
+    assert isinstance(ds, ray.data.Dataset)
+    assert ds.columns() == ["src_host", "dst_host", "n_links"]

@@ -83,6 +83,34 @@ def test_ocr_pipeline(ray_session, tmp_path):
     assert row["content"].count("\n") == row["n_words"] - 1
 
 
+def test_ocr_stage_unexpected_error_is_one_row(monkeypatch):
+    """A non-decode failure on one page becomes that page's error row; its
+    neighbours in the batch come out intact."""
+    from yomitoku_ray.pipelines.ocr import OcrStage
+    from yomitoku_ray.synth.pages import generate_pages_table
+
+    table = generate_pages_table(6).select(["url", "html"])
+    stage = OcrStage()
+    want = stage(table).to_pylist()
+    assert all(r["error"] is None for r in want)
+
+    detect = stage.engine.detect
+    calls = []
+
+    def flaky(text):
+        calls.append(text)
+        if len(calls) == 3:
+            raise RuntimeError("boom")
+        return detect(text)
+
+    monkeypatch.setattr(stage.engine, "detect", flaky)
+    got = stage(table).to_pylist()
+    assert len(got) == len(want)
+    assert got[2]["error"] == "RuntimeError: boom"
+    assert got[2]["n_words"] == 0 and got[2]["words"] == [] and got[2]["content"] == ""
+    assert [r for i, r in enumerate(got) if i != 2] == [r for i, r in enumerate(want) if i != 2]
+
+
 def test_cli_synth_and_extract(ray_session, tmp_path):
     from yomitoku_ray.__main__ import main
 

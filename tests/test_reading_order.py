@@ -1,5 +1,6 @@
 """Reading-order DFS tests on hand-built layouts."""
 
+import yomitoku_ray.kernels.reading_order as ro
 from yomitoku_ray.kernels.reading_order import prediction_reading_order
 from yomitoku_ray.models import Paragraph
 
@@ -156,3 +157,18 @@ def test_chain_fast_path_bit_identity():
         n_chains += 1
         assert list(chain) == list(full_order(boxes, d)), (d, boxes)
     assert n_chains > 200  # the fast path must actually trigger
+
+
+def test_reading_order_matches_frozen_goldens():
+    """60 frozen layouts recorded while the scalar reference port and the
+    vectorized builder were parity-verified side by side."""
+    import json, os
+
+    path = os.path.join(os.path.dirname(__file__), "data", "reading_order_golden.json")
+    for case in json.load(open(path)):
+        elems = [
+            Paragraph(box=list(b), contents="", direction="horizontal", order=0)
+            for b in case["boxes"]
+        ]
+        ro.prediction_reading_order(elems, case["direction"])
+        assert [e.order for e in elems] == case["orders"], case["direction"]

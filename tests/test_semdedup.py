@@ -188,6 +188,11 @@ def test_semdedup_driver_state_is_centroid_sized(ray_session, monkeypatch):
     assert ds.count() == 500
 
 
+def test_semdedup_rejects_unknown_keep_rule():
+    with pytest.raises(ValueError, match="keep"):
+        semdedup(SF001, keep="centriod")
+
+
 def test_semdedup_centroid_keep_rule(ray_session, tmp_path):
     """keep='centroid': the survivor of a tight similarity group is the
     member closest to its cluster centroid, not the minimum id."""

@@ -131,6 +131,22 @@ def test_crawl_cli(ray_session, tmp_path, capsys):
     assert (wat["n_links"] >= 0).all() and wat["n_links"].sum() > 0
 
 
+def test_crawl_cli_rejects_resumable_wet_before_any_output(ray_session, tmp_path):
+    from yomitoku_ray.__main__ import main
+
+    rows = [
+        {"url": r["url"], "warc_ts": _ts_us_of(r["warc_ts"]), "html": r["html"], "lang": r["lang"]}
+        for r in generate_pages_table(3).to_pylist()
+    ]
+    warc = str(tmp_path / "in.warc.gz")
+    write_warc_file(rows, warc)
+    wat = tmp_path / "wat"
+    with pytest.raises(SystemExit, match="drop --wet"):
+        main(["crawl", warc, str(tmp_path / "out"), "--resumable", "--wet", "--wat", str(wat)])
+    assert not wat.exists()
+    assert not (tmp_path / "out").exists()
+
+
 from hypothesis import given, settings, strategies as st
 
 

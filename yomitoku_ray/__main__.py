@@ -76,6 +76,8 @@ def cmd_extract(args):
 
 def cmd_crawl(args):
     """Common Crawl shard drive: WARC in, parquet or WET out."""
+    if args.resumable and args.wet:
+        raise SystemExit("--resumable writes checkpointed parquet waves; drop --wet")
     _init_ray(args.num_cpus)
     from .pipelines.extract import ExtractConfig, build_extract_pipeline
     from .sources.warc import read_warc
@@ -93,8 +95,6 @@ def cmd_crawl(args):
             args.wat,
         )
     if args.resumable:
-        if args.wet:
-            raise SystemExit("--resumable writes checkpointed parquet waves; drop --wet")
         from .state.checkpoint import run_resumable
 
         summary = run_resumable(
@@ -170,7 +170,7 @@ def cmd_visualize(args):
     map_batches stage writing one PNG per page."""
     import ray.data
 
-    from .oracle import doc_stem_for_url
+    from .render import doc_stem_for_url
     from .visualize import to_png, visualize_document
 
     os.makedirs(args.output, exist_ok=True)

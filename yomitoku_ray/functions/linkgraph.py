@@ -76,21 +76,22 @@ def _edges_partial(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def host_link_graph(ds: ray.data.Dataset) -> pd.DataFrame:
+def host_link_graph(ds: ray.data.Dataset) -> ray.data.Dataset:
     """(src_host, dst_host, n_links) edge list from a (url, html) Dataset.
 
     Partial pair counts per batch -> one groupby over the host-pair space
     (the :func:`~yomitoku_ray.functions.merge.domain_skew_probe` shape).
-    Returns a DataFrame sorted by (src_host, dst_host): the edge list is
-    hosts²-bounded — at true web scale swap the final ``to_pandas`` for
-    ``write_parquet`` on the same Dataset, nothing upstream changes.
+    Returns a lazy Dataset with one row per host pair, in no fixed order;
+    the caller sinks it (``write_parquet``) or collects it.
     """
-    edges = (
+
+    def _rename(df: pd.DataFrame) -> pd.DataFrame:
+        # ray groupby.sum names the column "sum(n_links)"
+        return df.rename(columns={"sum(n_links)": "n_links"})
+
+    return (
         ds.map_batches(_edges_partial, batch_format="pandas")
         .groupby(["src_host", "dst_host"])
         .sum("n_links")
+        .map_batches(_rename, batch_format="pandas")
     )
-    out = edges.to_pandas()
-    # ray groupby.sum names the column "sum(n_links)"
-    out = out.rename(columns={"sum(n_links)": "n_links"})
-    return out.sort_values(["src_host", "dst_host"]).reset_index(drop=True)

@@ -676,6 +676,8 @@ def semdedup(
     Columns: vec_id, cluster, is_dup (all int64; discrete outputs only, so
     numpy/DuckDB float ulp noise cannot leak into the value hash).
     """
+    if keep not in ("min_id", "centroid"):
+        raise ValueError(f"keep must be 'min_id' or 'centroid', got {keep!r}")
     path = f"{sf_dir}/embeddings.parquet"
     labels, cents = _kmeans_train(path, n_clusters, iterations, normalize=True)
     ref = ray.put((labels, cents))

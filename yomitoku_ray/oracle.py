@@ -7,21 +7,16 @@ no Ray involvement. The pytest suite compares the Ray pipeline's output
 byte-for-byte against this oracle (the golden-file pattern of
 ``/root/reference/tests/test_table_semantic_from_json.py:116-148``, tightened
 to byte identity per the north rule).
+
+The per-page body is the fused stage's ``extract_document``; the oracle runs
+it on a fresh engine for every page, where the actor reuses one engine for
+all of its pages.
 """
 
 from __future__ import annotations
 
-from .analyze import aggregate_document
-from .detect import BoilerplateClassifier, detect_page
-from .dom import DecodeError, decode_html
-from .render import render_document
-
-
-def doc_stem_for_url(url: str) -> str:
-    """Deterministic output stem for a url (figure naming)."""
-    import hashlib
-
-    return hashlib.sha1(url.encode("utf-8")).hexdigest()[:16]
+from .detect import BoilerplateClassifier, PageLayoutEngine
+from .stages.fused_stage import extract_document
 
 
 def analyze_html_bytes(
@@ -36,43 +31,18 @@ def analyze_html_bytes(
     """Full oracle run for one page. Returns (columns dict, error | None).
 
     A failed document returns ``(empty columns, error string)`` — the per-row
-    error policy mirroring ``cli/main.py:548-549``.
+    error policy mirroring ``cli/main.py:548-549``. The columns are the
+    reference analyzer's outputs; the engine's boilerplate and truncation
+    counters are left out.
     """
-    try:
-        text = decode_html(raw)
-        det = detect_page(text, classifier)
-        document = aggregate_document(
-            det.words,
-            det.paragraphs,
-            det.tables,
-            det.figures,
-            reading_order=reading_order,
-            ignore_meta=ignore_meta,
-            ignore_ruby=ignore_ruby,
-            ruby_threshold=ruby_threshold,
-        )
-        out = render_document(document, doc_stem=doc_stem_for_url(url))
-        out["n_words"] = len(document.words)
-        out["n_tables"] = len(document.tables)
-        out["n_paragraphs"] = len(document.paragraphs)
-        out["n_figures"] = len(document.figures)
-        return out, None
-    except DecodeError as e:
-        return _empty_columns(), str(e)
-    except Exception as e:  # pragma: no cover - belt and braces
-        return _empty_columns(), f"{type(e).__name__}: {e}"
-
-
-def _empty_columns():
-    return {
-        "extracted_text": "",
-        "spans": [],
-        "markdown": "",
-        "html": "",
-        "csv": "",
-        "doc_json": "",
-        "n_words": 0,
-        "n_tables": 0,
-        "n_paragraphs": 0,
-        "n_figures": 0,
-    }
+    cols, err = extract_document(
+        PageLayoutEngine(classifier),
+        raw,
+        url,
+        reading_order,
+        ignore_meta,
+        ignore_ruby,
+        ruby_threshold,
+    )
+    del cols["n_boilerplate"], cols["truncated"]
+    return cols, err

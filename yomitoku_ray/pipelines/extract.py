@@ -1,13 +1,15 @@
 """The flagship extraction pipeline.
 
-read_parquet(pages) -> DetectStage (actor pool) -> aggregate_render (task)
+read_parquet(pages) -> FusedExtractStage (actor pool)
 [-> checkpointed partitioned parquet sink]
 
 Shape per SURVEY.md §7.1. Scale posture:
 - the read prunes to the columns the pipeline needs (url, warc_ts, html,
   lang) — ``text`` never leaves storage;
-- the html blob is dropped inside DetectStage, so only compact detection
-  structs flow between stages;
+- decode, detect, aggregate and render run per page inside one actor call
+  (``stages.fused_stage.extract_document``), so the html blob and the
+  detection structs never cross a stage boundary: only the final output
+  columns leave the actor;
 - no shuffle anywhere in the per-document path (all joins are intra-row);
   the only wide operation the engine ever needs (multi-page merge / url
   dedup) lives in ``yomitoku_ray.functions.dedup`` with salted keys;
@@ -20,29 +22,24 @@ from dataclasses import dataclass, field
 
 import ray.data
 
-from ..stages.aggregate_stage import aggregate_render_batch
-from ..stages.detect_stage import DetectStage
+from ..stages.fused_stage import FusedExtractStage
 
 PAGES_COLUMNS = ["url", "warc_ts", "html", "lang"]
 
 
 @dataclass
 class ExtractConfig:
-    # Actor pool sizing: detection is the heavy stage; concurrency is a
-    # (min, max) autoscaling range per the ActorPoolStrategy idiom.
+    # Actor pool sizing for the fused extraction stage (detection is its
+    # heavy part, hence the names); concurrency is a (min, max) autoscaling
+    # range per the ActorPoolStrategy idiom.
     detect_concurrency: tuple = (2, 16)
     detect_batch_size: int = 64
     detect_num_cpus: float = 1.0
-    aggregate_batch_size: int = 64
     reading_order: str = "auto"
     ignore_meta: bool = False
     ignore_ruby: bool = False
     ruby_threshold: float = 2.0
     classifier_config: dict = field(default_factory=dict)
-    # Fused single-actor path (default): decode->detect->aggregate->render in
-    # one stage; the staged path (fused=False) exposes the detections
-    # boundary for inspection/tests at ~5x conversion cost.
-    fused: bool = True
     # Read parallelism: blocks per input (None = Ray default). The pages
     # parquet has few large files; splitting blocks finer keeps the actor
     # pool saturated.
@@ -58,48 +55,25 @@ def read_pages(path, columns=PAGES_COLUMNS, cfg: "ExtractConfig | None" = None):
 
 
 def build_extract_pipeline(ds: ray.data.Dataset, cfg: ExtractConfig | None = None):
-    """Attach the extraction stages to a pages Dataset (lazy)."""
+    """Attach the extraction stage to a pages Dataset (lazy)."""
     cfg = cfg or ExtractConfig()
-    if cfg.fused:
-        from ..stages.fused_stage import FusedExtractStage
-
-        return ds.map_batches(
-            FusedExtractStage,
-            fn_constructor_kwargs={
-                "classifier_config": cfg.classifier_config,
-                "reading_order": cfg.reading_order,
-                "ignore_meta": cfg.ignore_meta,
-                "ignore_ruby": cfg.ignore_ruby,
-                "ruby_threshold": cfg.ruby_threshold,
-            },
-            batch_format="pyarrow",
-            batch_size=cfg.detect_batch_size,
-            concurrency=cfg.detect_concurrency,
-            num_cpus=cfg.detect_num_cpus,
-        )
-    ds = ds.map_batches(
-        DetectStage,
-        fn_constructor_kwargs={"classifier_config": cfg.classifier_config},
-        batch_format="pyarrow",
-        batch_size=cfg.detect_batch_size,
-        concurrency=cfg.detect_concurrency,
-        num_cpus=cfg.detect_num_cpus,
-    )
-    ds = ds.map_batches(
-        aggregate_render_batch,
-        fn_kwargs={
+    return ds.map_batches(
+        FusedExtractStage,
+        fn_constructor_kwargs={
+            "classifier_config": cfg.classifier_config,
             "reading_order": cfg.reading_order,
             "ignore_meta": cfg.ignore_meta,
             "ignore_ruby": cfg.ignore_ruby,
             "ruby_threshold": cfg.ruby_threshold,
         },
         batch_format="pyarrow",
-        batch_size=cfg.aggregate_batch_size,
+        batch_size=cfg.detect_batch_size,
+        concurrency=cfg.detect_concurrency,
+        num_cpus=cfg.detect_num_cpus,
     )
-    return ds
 
 
 def extract_pages(path, cfg: ExtractConfig | None = None):
-    """read -> detect -> aggregate/render as a lazy Dataset."""
+    """read -> fused extraction as a lazy Dataset."""
     cfg = cfg or ExtractConfig()
     return build_extract_pipeline(read_pages(path, cfg=cfg), cfg)

@@ -39,15 +39,15 @@ class OcrStage:
             try:
                 det = self.engine.detect(decode_html(raw or b""))
                 words = [w.to_dict() for w in det.words]
+                content = "\n".join(w.content for w in det.words)
                 out["error"].append(None)
                 out["words"].append(words)
                 out["n_words"].append(len(words))
-                out["content"].append("\n".join(w.content for w in det.words))
+                out["content"].append(content)
             except DecodeError as e:
-                out["error"].append(str(e))
-                out["words"].append([])
-                out["n_words"].append(0)
-                out["content"].append("")
+                self._append_error(out, str(e))
+            except Exception as e:
+                self._append_error(out, f"{type(e).__name__}: {e}")
         cols = {"url": batch.column("url")}
         for f in OCR_RESULT_SCHEMA:
             if f.name not in cols:
@@ -55,6 +55,13 @@ class OcrStage:
         return pa.Table.from_arrays(
             [cols[f.name] for f in OCR_RESULT_SCHEMA], schema=OCR_RESULT_SCHEMA
         )
+
+    @staticmethod
+    def _append_error(out, err):
+        out["error"].append(err)
+        out["words"].append([])
+        out["n_words"].append(0)
+        out["content"].append("")
 
 
 def ocr_pages(path, concurrency=(2, 16), batch_size=32) -> ray.data.Dataset:

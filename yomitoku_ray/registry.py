@@ -52,13 +52,11 @@ def list_stages():
 
 
 def _register_builtins():
-    from .stages.detect_stage import DetectStage
     from .stages.fused_stage import FusedExtractStage
     from .stages.multimodal import ImageFeatureStage, ImageMetaStage
     from .stages.semantic_stage import SemanticExtractStage
     from .pipelines.ocr import OcrStage
 
-    register_stage("detect", {"classifier_config": {}}, DetectStage)
     register_stage(
         "extract",
         {

@@ -11,16 +11,23 @@ The engine's output contract (FIXTURES.md §4): per url,
   string outputs (export_markdown.py:114-146, export_json.py:88-97,
   export_csv.py:60-157, export_html.py:149-191).
 
-Shared verbatim by the oracle and the Ray render stage.
+Called once per page by ``stages.fused_stage.extract_document``.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from .export.csv_export import convert_csv, render_csv
 from .export.html_export import convert_html
 from .export.json_export import convert_json
 from .export.markdown import convert_markdown
 from .models import Document
+
+
+def doc_stem_for_url(url: str) -> str:
+    """Deterministic output stem for a url (figure naming)."""
+    return hashlib.sha1(url.encode("utf-8")).hexdigest()[:16]
 
 
 def _element_text(kind, element):

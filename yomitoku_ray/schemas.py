@@ -25,64 +25,12 @@ WORD = pa.struct(
     ]
 )
 
-LAYOUT_ELEMENT = pa.struct(
-    [
-        ("box", BOX),
-        ("score", pa.float64()),
-        ("role", pa.string()),
-    ]
-)
-
-TABLE_LINE = pa.struct([("box", BOX), ("score", pa.float64())])
-
-TABLE_CELL = pa.struct(
-    [
-        ("col", pa.int32()),
-        ("row", pa.int32()),
-        ("col_span", pa.int32()),
-        ("row_span", pa.int32()),
-        ("box", BOX),
-        ("contents", pa.string()),
-    ]
-)
-
-TABLE = pa.struct(
-    [
-        ("box", BOX),
-        ("n_row", pa.int32()),
-        ("n_col", pa.int32()),
-        ("rows", pa.list_(TABLE_LINE)),
-        ("cols", pa.list_(TABLE_LINE)),
-        ("spans", pa.list_(TABLE_LINE)),
-        ("cells", pa.list_(TABLE_CELL)),
-        ("order", pa.int32()),
-    ]
-)
-
 SPAN = pa.struct(
     [
         ("start", pa.int64()),
         ("end", pa.int64()),
         ("elem_type", pa.string()),
         ("order", pa.int32()),
-    ]
-)
-
-# Stage boundary: detection output (html column is dropped here — wide binary
-# payloads must not ride through the rest of the pipeline / shuffles).
-DETECTIONS_SCHEMA = pa.schema(
-    [
-        ("url", pa.string()),
-        ("warc_ts", pa.timestamp("us")),
-        ("lang", pa.string()),
-        ("n_html_bytes", pa.int64()),
-        ("error", pa.string()),
-        ("words", pa.list_(WORD)),
-        ("paragraphs", pa.list_(LAYOUT_ELEMENT)),
-        ("tables", pa.list_(TABLE)),
-        ("figures", pa.list_(LAYOUT_ELEMENT)),
-        ("n_boilerplate", pa.int32()),
-        ("truncated", pa.bool_()),
     ]
 )
 

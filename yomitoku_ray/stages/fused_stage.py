@@ -1,13 +1,12 @@
 """Fused extraction stage: html bytes -> final output columns in one actor.
 
-The two-stage path (DetectStage -> aggregate_render_batch) pays a full
-Arrow<->Python conversion of every word/cell struct at the boundary; profiling
-at sf0.01 showed that boundary costing ~5x the useful compute. The reference
-itself fuses all four models plus aggregation per page inside one call
-(document_analyzer.py:603-634), so the fused actor is both the faster and the
-more faithful mapping. The staged path stays available for stage-level
-inspection and golden tests (ExtractConfig(fused=False)); both paths are
-byte-identical by construction (same shared functions).
+The reference runs its four models plus aggregation per page inside one call
+(document_analyzer.py:603-634); ``extract_document`` is that call here, the
+one implementation of decode -> detect -> aggregate -> render. The actor
+stage maps it over a batch with its long-lived engine, and the
+single-process oracle (``oracle.analyze_html_bytes``) calls it with a fresh
+engine per page, so the byte-identity gates catch any engine state that
+leaks from one page into the next.
 """
 
 from __future__ import annotations
@@ -17,13 +16,71 @@ import pyarrow as pa
 from ..analyze import aggregate_document
 from ..detect import BoilerplateClassifier, PageLayoutEngine
 from ..dom import DecodeError, decode_html
-from ..oracle import doc_stem_for_url
-from ..render import render_document
+from ..render import doc_stem_for_url, render_document
 from ..schemas import RESULT_SCHEMA
 
 
+def _empty_columns() -> dict:
+    return {
+        "extracted_text": "",
+        "spans": [],
+        "markdown": "",
+        "html": "",
+        "csv": "",
+        "doc_json": "",
+        "n_words": 0,
+        "n_tables": 0,
+        "n_paragraphs": 0,
+        "n_figures": 0,
+        "n_boilerplate": 0,
+        "truncated": False,
+    }
+
+
+def extract_document(
+    engine: PageLayoutEngine,
+    raw: bytes,
+    url: str,
+    reading_order: str = "auto",
+    ignore_meta: bool = False,
+    ignore_ruby: bool = False,
+    ruby_threshold: float = 2.0,
+):
+    """One page: html bytes -> (output columns, error | None).
+
+    A failed page returns ``(empty columns, error string)`` — the per-row
+    error policy of ``cli/main.py:548-549``: a malformed page yields an
+    error row, never a failed block.
+    """
+    try:
+        text = decode_html(raw or b"")
+        det = engine.detect(text)
+        document = aggregate_document(
+            det.words,
+            det.paragraphs,
+            det.tables,
+            det.figures,
+            reading_order=reading_order,
+            ignore_meta=ignore_meta,
+            ignore_ruby=ignore_ruby,
+            ruby_threshold=ruby_threshold,
+        )
+        cols = render_document(document, doc_stem=doc_stem_for_url(url))
+        cols["n_words"] = len(document.words)
+        cols["n_tables"] = len(document.tables)
+        cols["n_paragraphs"] = len(document.paragraphs)
+        cols["n_figures"] = len(document.figures)
+        cols["n_boilerplate"] = det.n_boilerplate
+        cols["truncated"] = det.truncated
+        return cols, None
+    except DecodeError as e:
+        return _empty_columns(), str(e)
+    except Exception as e:
+        return _empty_columns(), f"{type(e).__name__}: {e}"
+
+
 class FusedExtractStage:
-    """decode -> detect -> aggregate -> render, one actor pool, Arrow in/out."""
+    """``extract_document`` per row, one actor pool, Arrow in/out."""
 
     def __init__(
         self,
@@ -40,59 +97,26 @@ class FusedExtractStage:
         self.ruby_threshold = ruby_threshold
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        htmls = batch.column("html").to_pylist()
-
-        out = {name: [] for name in (
-            "error", "extracted_text", "markdown", "html", "csv", "doc_json",
-            "spans", "n_words", "n_paragraphs", "n_tables", "n_figures",
-            "n_boilerplate", "truncated",
-        )}
-
-        def _empty(err):
-            out["error"].append(err)
-            for key in ("extracted_text", "markdown", "html", "csv", "doc_json"):
-                out[key].append("")
-            out["spans"].append([])
-            for key in ("n_words", "n_paragraphs", "n_tables", "n_figures", "n_boilerplate"):
-                out[key].append(0)
-            out["truncated"].append(False)
-
-        for url, raw in zip(urls, htmls):
-            raw = raw or b""
-            try:
-                text = decode_html(raw)
-                det = self.engine.detect(text)
-                document = aggregate_document(
-                    det.words,
-                    det.paragraphs,
-                    det.tables,
-                    det.figures,
-                    reading_order=self.reading_order,
-                    ignore_meta=self.ignore_meta,
-                    ignore_ruby=self.ignore_ruby,
-                    ruby_threshold=self.ruby_threshold,
-                )
-                rendered = render_document(document, doc_stem=doc_stem_for_url(url))
-                out["error"].append(None)
-                for key in ("extracted_text", "markdown", "html", "csv", "doc_json", "spans"):
-                    out[key].append(rendered[key])
-                out["n_words"].append(len(document.words))
-                out["n_paragraphs"].append(len(document.paragraphs))
-                out["n_tables"].append(len(document.tables))
-                out["n_figures"].append(len(document.figures))
-                out["n_boilerplate"].append(det.n_boilerplate)
-                out["truncated"].append(det.truncated)
-            except DecodeError as e:
-                _empty(str(e))
-            except Exception as e:  # pragma: no cover
-                _empty(f"{type(e).__name__}: {e}")
-
         cols = {
             "url": batch.column("url"),
             "warc_ts": batch.column("warc_ts"),
             "lang": batch.column("lang"),
         }
+        out = {f.name: [] for f in RESULT_SCHEMA if f.name not in cols}
+        for url, raw in zip(cols["url"].to_pylist(), batch.column("html").to_pylist()):
+            page, err = extract_document(
+                self.engine,
+                raw,
+                url,
+                self.reading_order,
+                self.ignore_meta,
+                self.ignore_ruby,
+                self.ruby_threshold,
+            )
+            out["error"].append(err)
+            for key, value in page.items():
+                out[key].append(value)
+
         for f in RESULT_SCHEMA:
             if f.name not in cols:
                 cols[f.name] = pa.array(out[f.name], f.type)
