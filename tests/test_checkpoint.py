@@ -340,3 +340,24 @@ def test_mixed_parquet_and_warc_directory(ray_session, tmp_path):
     tbl = pads.dataset(os.path.join(out, "data")).to_table(columns=["url"])
     urls = tbl.column("url").to_pylist()
     assert len(urls) == 2 * per and len(set(urls)) == 2 * per
+
+
+def test_waves_release_their_cpus_on_return(ray_session, pages_dir, tmp_path):
+    """Each wave's actors give their CPUs back by the time run_resumable
+    returns: no waiting for a garbage collection that the caller would
+    have to trigger. Three back-to-back calls, one CPU per actor."""
+    import time as _time
+
+    import ray
+
+    total = ray.cluster_resources()["CPU"]
+    cfg = ExtractConfig(detect_concurrency=1, detect_batch_size=16)
+    for k in range(3):
+        run_resumable(pages_dir, str(tmp_path / f"out{k}"), cfg, wave_files=2, max_waves=2)
+        deadline = _time.monotonic() + 2.0
+        while ray.available_resources().get("CPU", 0.0) < total:
+            assert _time.monotonic() < deadline, (
+                f"call {k}: {ray.available_resources().get('CPU', 0.0)} of "
+                f"{total} CPUs free 2 s after run_resumable returned"
+            )
+            _time.sleep(0.1)

@@ -10,6 +10,7 @@ from yomitoku_ray.stages.multimodal import (
     ImageFeatureStage,
     ImageMetaStage,
     make_fake_png,
+    sniff_format,
     sniff_image_meta,
 )
 
@@ -51,6 +52,76 @@ def test_feature_stage_fake_is_deterministic():
 def test_feature_stage_strict_raises():
     with pytest.raises(NotImplementedError):
         DecoderBackend("strict").decode_image(b"x")
+
+
+def test_bare_p_is_not_netpbm():
+    # b"" in b"123456" is True: a length check keeps b"P" from reading as pnm
+    assert sniff_format(b"P") == sniff_image_meta(b"P")["format"] == "unknown"
+    assert sniff_format(b"P6") == "pnm"
+    with pytest.raises(NotImplementedError):
+        DecoderBackend("strict").decode_image(b"P")
+
+
+def _one_of_each_format(px):
+    from yomitoku_ray.kernels.bmp import BmpError, encode_bmp
+    from yomitoku_ray.kernels.gif import GifError, encode_gif
+    from yomitoku_ray.kernels.jpeg import JpegError, encode_jpeg_progressive
+    from yomitoku_ray.kernels.netpbm import NetpbmError, encode_netpbm
+    from yomitoku_ray.kernels.png import PngError, encode_png
+    from yomitoku_ray.kernels.tiff import TiffError, encode_tiff
+    from yomitoku_ray.kernels.webp import WebpError, encode_webp_lossless
+
+    return {
+        "png": (encode_png(px), PngError),
+        "gif": (encode_gif(px), GifError),
+        "jpeg": (encode_jpeg_progressive(px, subsample=True, successive=True), JpegError),
+        "bmp": (encode_bmp(px), BmpError),
+        "tiff": (encode_tiff([px], lzw=True), TiffError),
+        "webp": (encode_webp_lossless(px), WebpError),
+        "pnm": (encode_netpbm(px), NetpbmError),
+    }
+
+
+def test_decode_dispatches_on_the_sniffed_format():
+    """One format decision: the metadata sniff and the decoder agree on the
+    format; a broken file of a known format raises that codec's own error
+    in strict mode (not the unknown-format one); fake mode still gives the
+    digest pixels."""
+    import numpy as np
+
+    px = np.random.RandomState(3).randint(0, 256, (16, 16, 3), dtype=np.uint8)
+    strict, fake = DecoderBackend("strict"), DecoderBackend("fake")
+    for fmt, (blob, err) in _one_of_each_format(px).items():
+        assert sniff_format(blob) == sniff_image_meta(blob)["format"] == fmt
+        assert strict.decode_image(blob).shape == (16, 16, 3), fmt
+        cut = blob[: len(blob) // 2]
+        assert sniff_format(cut) == fmt
+        with pytest.raises(err):
+            strict.decode_image(cut)
+        got = fake.decode_image(cut)
+        assert got.shape == (4, 4, 3) and np.array_equal(got, fake.decode_image(cut))
+
+
+def test_corrupt_files_raise_only_codec_errors():
+    """Truncated and byte-flipped files of every format raise a ValueError
+    subclass (or NotImplementedError once the magic is gone): the error the
+    image stages turn into a per-row error, never a failed batch."""
+    import numpy as np
+
+    rng = np.random.RandomState(4)
+    px = rng.randint(0, 256, (8, 8, 3), dtype=np.uint8)
+    be = DecoderBackend("strict")
+    for fmt, (blob, _) in _one_of_each_format(px).items():
+        cands = [blob[:k] for k in range(0, len(blob), max(1, len(blob) // 40))]
+        for _ in range(40):
+            b = bytearray(blob)
+            b[rng.randint(0, len(b))] = rng.randint(0, 256)
+            cands.append(bytes(b))
+        for c in cands:
+            try:
+                be.decode_image(c)
+            except (ValueError, NotImplementedError):
+                pass
 
 
 def test_registry_merge_and_resolution():

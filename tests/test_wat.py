@@ -126,3 +126,48 @@ def test_wat_reader_skips_non_metadata_records(tmp_path):
     assert rows[0]["envelope"]["Envelope"]["Payload-Metadata"][
         "HTTP-Response-Metadata"
     ]["HTML-Metadata"]["Head"]["Title"] == "q"
+
+
+def test_every_record_has_a_unique_stable_id(ray_session, tmp_path):
+    """WAT metadata and WET conversion records each carry their own
+    WARC-Record-ID, distinct from each other and from the response record,
+    identical across writes, and WARC-Refers-To names the id the WARC
+    encoder gives the response record of the same capture (warcinfo
+    records carry no id and are left out)."""
+    import gzip
+    import io
+
+    import ray.data
+
+    from yomitoku_ray.export.wet import write_wet
+    from yomitoku_ray.sources.warc import encode_warc_record, iter_warc_records
+
+    table = generate_pages_table(30)
+    ds = ray.data.from_arrow(table)
+
+    def headers(out):
+        hs = []
+        for p in sorted(glob.glob(out + "/*.gz")):
+            with gzip.open(p) as f:
+                hs += [h for h, _ in iter_warc_records(f) if h["warc-type"] != "warcinfo"]
+        return hs
+
+    runs = []
+    for k in range(2):
+        write_wat(ds, str(tmp_path / f"wat{k}"))
+        write_wet(ds, str(tmp_path / f"wet{k}"), text_col="text")
+        runs.append(headers(str(tmp_path / f"wat{k}")) + headers(str(tmp_path / f"wet{k}")))
+    hs = runs[0]
+    assert sorted(h["warc-type"] for h in hs) == ["conversion"] * 30 + ["metadata"] * 30
+
+    response_id = {}
+    for r in table.to_pylist():
+        rec = encode_warc_record(r["url"], _ts_us_of(r["warc_ts"]), r["html"])
+        head, _ = next(iter_warc_records(io.BytesIO(rec)))
+        response_id[r["url"]] = head["warc-record-id"]
+    ids = [h["warc-record-id"] for h in hs] + list(response_id.values())
+    assert len(set(ids)) == len(ids) == 90
+    assert all(h["warc-refers-to"] == response_id[h["warc-target-uri"]] for h in hs)
+    assert sorted(h["warc-record-id"] for h in runs[1]) == sorted(
+        h["warc-record-id"] for h in hs
+    )

@@ -121,6 +121,15 @@ def test_pinned_bytes_2x2():
     assert sniff_webp_dims(blob) == (2, 2)
 
 
+def test_select_predictor_tie_picks_top():
+    """Predictor 11 (Select): on equal distances the spec returns T."""
+    from yomitoku_ray.kernels.webp import _select
+
+    l, t, tl = 0xFF102030, 0xFF302010, 0xFF202020  # sum|T-TL| == sum|L-TL|
+    assert _select(l, t, tl) == t
+    assert _select(l, 0xFF202021, tl) == l  # T nearer TL: the estimate is nearer L
+
+
 def test_sniff_dims_wide():
     px = np.zeros((3, 300, 3), dtype=np.uint8)
     assert sniff_webp_dims(encode_webp_lossless(px)) == (300, 3)
@@ -129,7 +138,7 @@ def test_sniff_dims_wide():
 def test_error_paths():
     with pytest.raises(WebpError):
         decode_webp(b"nope")
-    with pytest.raises(WebpError):  # lossy arm: garbage VP8 chunk
+    with pytest.raises(WebpError, match="lossy VP8"):  # lossy is not decoded
         decode_webp(b"RIFF\x10\x00\x00\x00WEBPVP8 \x04\x00\x00\x00abcd")
     blob = encode_webp_lossless(RNG.randint(0, 256, (8, 8, 3), dtype=np.uint8))
     with pytest.raises(WebpError):
@@ -169,8 +178,8 @@ def test_synth_webp_rows_decode_exactly():
 
 
 def test_sniff_lossy_and_extended_headers():
-    """Hand-built VP8 (lossy) and VP8X chunks: dims sniffed; a truncated
-    lossy chunk raises (real decode lives in kernels/vp8.py now)."""
+    """Hand-built VP8 (lossy) and VP8X chunks: dims sniffed, while pixel
+    decode of the lossy chunk raises (lossy VP8 is not decoded)."""
     import struct
 
     def riff(tag, body):
@@ -181,7 +190,7 @@ def test_sniff_lossy_and_extended_headers():
 
     vp8 = riff(b"VP8 ", b"\x00\x00\x00\x9d\x01\x2a" + struct.pack("<HH", 320, 240))
     assert sniff_webp_dims(vp8) == (320, 240)
-    with pytest.raises(WebpError):  # header-only chunk: no coefficient data
+    with pytest.raises(WebpError, match="lossy VP8"):
         decode_webp(vp8)
 
     vp8x = riff(
@@ -242,3 +251,118 @@ def test_corrupt_input_raises_only_webperror():
             decode_webp(blob, max_pixels=1 << 18)
         except WebpError:
             pass
+
+
+# ------------------------------------------------- interop with libwebp
+
+_LIBWEBP = __import__("ctypes.util").util.find_library("webp")
+needs_libwebp = pytest.mark.skipif(_LIBWEBP is None, reason="libwebp not installed")
+
+
+def _libwebp():
+    import ctypes as C
+
+    lib = C.CDLL(_LIBWEBP)
+    out = C.POINTER(C.POINTER(C.c_uint8))
+    lib.WebPEncodeRGB.argtypes = [C.c_char_p, C.c_int, C.c_int, C.c_int, C.c_float, out]
+    lib.WebPEncodeLosslessRGB.argtypes = [C.c_char_p, C.c_int, C.c_int, C.c_int, out]
+    lib.WebPEncodeRGB.restype = lib.WebPEncodeLosslessRGB.restype = C.c_size_t
+    lib.WebPDecodeRGB.argtypes = [C.c_char_p, C.c_size_t, C.POINTER(C.c_int), C.POINTER(C.c_int)]
+    lib.WebPDecodeRGB.restype = C.POINTER(C.c_uint8)
+    lib.WebPFree.argtypes, lib.WebPFree.restype = [C.c_void_p], None
+    return lib
+
+
+def _lib_encode(lib, px, lossy=False):
+    import ctypes as C
+
+    h, w, _ = px.shape
+    out, data = C.POINTER(C.c_uint8)(), np.ascontiguousarray(px).tobytes()
+    if lossy:
+        n = lib.WebPEncodeRGB(data, w, h, 3 * w, 75.0, C.byref(out))
+    else:
+        n = lib.WebPEncodeLosslessRGB(data, w, h, 3 * w, C.byref(out))
+    assert n > 0
+    blob = C.string_at(out, n)
+    lib.WebPFree(out)
+    return blob
+
+
+def _lib_decode(lib, blob):
+    import ctypes as C
+
+    w, h = C.c_int(), C.c_int()
+    ptr = lib.WebPDecodeRGB(blob, len(blob), C.byref(w), C.byref(h))
+    assert ptr, "libwebp rejected the stream"
+    raw = C.string_at(ptr, w.value * h.value * 3)
+    lib.WebPFree(ptr)
+    return np.frombuffer(raw, np.uint8).reshape(h.value, w.value, 3)
+
+
+def _interop_images():
+    """Noise, gradients, few-colour and flat images at odd sizes."""
+    rng = np.random.RandomState(0x1EB)
+    out = []
+    for h, w in ((1, 1), (5, 7), (16, 16), (23, 31), (40, 9)):
+        ramp = (np.arange(w)[None, :, None] * 7 + np.arange(h)[:, None, None] * 3) % 256
+        pal = rng.randint(0, 256, (int(rng.randint(2, 12)), 3), dtype=np.uint8)
+        out += [
+            rng.randint(0, 256, (h, w, 3), dtype=np.uint8),
+            np.broadcast_to(ramp, (h, w, 3)).astype(np.uint8),
+            pal[rng.randint(0, len(pal), (h, w))],
+            np.full((h, w, 3), rng.randint(0, 256, 3), dtype=np.uint8),
+        ]
+    return out
+
+
+@needs_libwebp
+def test_libwebp_lossless_streams_decode_exactly():
+    lib = _libwebp()
+    for px in _interop_images():
+        assert np.array_equal(decode_webp(_lib_encode(lib, px)), px), px.shape
+
+
+@needs_libwebp
+def test_libwebp_decodes_our_lossless_streams_exactly():
+    lib = _libwebp()
+    options = (
+        {},
+        {"subtract_green": False},
+        {"cache_bits": 6},
+        {"predictor": 7},
+        {"predictor": 11, "cross_color": (3, 200, 17)},
+        {"palette": True},
+        {"meta_bits": 2},
+    )
+    for px in _interop_images():
+        for kw in options:
+            if kw.get("palette") and len(np.unique(px.reshape(-1, 3), axis=0)) > 256:
+                continue
+            got = _lib_decode(lib, encode_webp_lossless(px, **kw))
+            assert np.array_equal(got, px), (px.shape, kw)
+
+
+@needs_libwebp
+def test_libwebp_lossy_stream_through_the_image_stages():
+    """A real lossy WebP is not decoded: dHash gives 0 and an error naming
+    lossy VP8, resize passes it through unchanged, and the metadata sniff
+    still reports webp with the true dimensions."""
+    import pyarrow as pa
+
+    from yomitoku_ray.stages.multimodal import (
+        ImageDHashStage,
+        ImageMetaStage,
+        ImageResizeStage,
+    )
+
+    px = RNG.randint(0, 256, (24, 40, 3), dtype=np.uint8)
+    blob = _lib_encode(_libwebp(), px, lossy=True)
+    assert blob[12:16] == b"VP8 "
+    batch = pa.table({"image": pa.array([blob], pa.binary())})
+
+    dh = ImageDHashStage()(batch).to_pylist()[0]
+    assert dh["dhash"] == 0 and "lossy VP8" in dh["dhash_error"]
+    rs = ImageResizeStage(8, 8)(batch).to_pylist()[0]
+    assert rs["resized"] is False and rs["image"] == blob
+    meta = ImageMetaStage()(batch).to_pylist()[0]["image_meta"]
+    assert (meta["format"], meta["width"], meta["height"]) == ("webp", 40, 24)

@@ -21,10 +21,11 @@ for identical rows — compact separators, fixed key order (the block's
 column order), ``gzip`` with ``mtime=0``. Which *filename* a given block
 lands in follows Ray's block completion order (exactly like
 ``write_parquet``): the sorted-line multiset across a shard directory is
-run-invariant (verified), individual file names are not. Non-JSON-native columns are
-encoded losslessly: ``timestamp('us')`` as integer microseconds-since-
-epoch, ``binary`` as base64 — ``read_jsonl(timestamp_cols=...,
-binary_cols=...)`` restores the Arrow types on the way back in.
+run-invariant (verified), individual file names are not. Non-JSON-native
+columns are encoded losslessly: ``timestamp('us')`` as integer
+microseconds-since-epoch, ``binary`` as base64 — ``read_jsonl(
+timestamp_cols=..., binary_cols=...)`` restores the Arrow types on the way
+back in. The exception is non-finite floats: NaN and ±Inf become null.
 """
 
 from __future__ import annotations
@@ -74,7 +75,12 @@ def encode_jsonl_block(tbl: pa.Table) -> bytes:
 def write_jsonl(ds, path: str, *, compression: str | None = "gzip"):
     """Distributed JSONL write: one ``.jsonl[.gz]`` shard per block under
     ``path``. Whole-stream gzip with ``mtime=0`` (byte-deterministic), the
-    layout every public corpus reader expects."""
+    layout every public corpus reader expects.
+
+    NaN and ±Inf floats are written as ``null``: JSON has no literal for
+    them, and strict readers reject the ``NaN`` token Python would emit.
+    That is the one lossy mapping; :func:`read_jsonl` reads them back as
+    null."""
     from ray.data.datasource import BlockBasedFileDatasink
 
     gz = compression == "gzip"
@@ -152,7 +158,8 @@ def read_jsonl(
     shard, rows batched into Arrow tables as they stream. ``timestamp_cols``
     / ``binary_cols`` restore columns written by :func:`write_jsonl` to
     ``timestamp('us')`` / ``binary`` (JSON itself carries them as int µs /
-    base64)."""
+    base64). A float that was NaN or ±Inf when written reads back as null
+    (see :func:`write_jsonl`)."""
     import ray.data
     from ray.data.datasource.file_based_datasource import FileBasedDatasource
 

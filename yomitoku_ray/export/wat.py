@@ -34,6 +34,7 @@ from ..sources.warc import (
     _parse_warc_date,
     encode_warcinfo,
     iter_warc_records,
+    warc_record_id,
 )
 from .wet import _ts_us_of
 
@@ -113,13 +114,16 @@ def encode_wat_record(
     *,
     refers_to: str = "",
 ) -> bytes:
-    """One ``metadata`` record (JSON payload), spec-exact framing."""
+    """One ``metadata`` record (JSON payload), spec-exact framing, with its
+    own :func:`warc_record_id`."""
     body = (
         json.dumps(envelope, ensure_ascii=False, separators=(",", ":")) + "\n"
     ).encode("utf-8")
     head = (
         b"WARC/1.0\r\n"
         b"WARC-Type: metadata\r\n"
+        + b"WARC-Record-ID: %s\r\n"
+        % warc_record_id(url, ts_us, "metadata").encode("ascii")
         + b"WARC-Target-URI: %s\r\n" % url.encode("utf-8")
         + b"WARC-Date: %s\r\n" % _format_warc_date(ts_us).encode("ascii")
         + (
@@ -146,7 +150,9 @@ def write_wat(
 
     Metadata extraction (DOM parse for title/links) runs here, inside the
     write task — rows whose html is null still emit a record (WARC/HTTP
-    metadata only), matching CC.
+    metadata only), matching CC. Each record's ``WARC-Refers-To`` is the
+    id :func:`encode_warc_record` gives the response record of the same
+    ``(url, ts_us)``.
     """
     from ray.data.datasource import BlockBasedFileDatasink
 
@@ -174,7 +180,10 @@ def write_wat(
                 env = build_wat_envelope(
                     url, ts_us, bytes(html) if html is not None else None
                 )
-                file.write(gzip.compress(encode_wat_record(url, ts_us, env)))
+                rec = encode_wat_record(
+                    url, ts_us, env, refers_to=warc_record_id(url, ts_us)
+                )
+                file.write(gzip.compress(rec))
 
     ds.write_datasink(WatDatasink())
 

@@ -28,6 +28,7 @@ from ..sources.warc import (
     _parse_warc_date,
     encode_warcinfo,
     iter_warc_records,
+    warc_record_id,
 )
 
 
@@ -38,11 +39,14 @@ def encode_wet_record(
     *,
     refers_to: str = "",
 ) -> bytes:
-    """One ``conversion`` record (plain-text payload), spec-exact framing."""
+    """One ``conversion`` record (plain-text payload), spec-exact framing,
+    with its own :func:`warc_record_id`."""
     body = text.encode("utf-8")
     head = (
         b"WARC/1.0\r\n"
         b"WARC-Type: conversion\r\n"
+        + b"WARC-Record-ID: %s\r\n"
+        % warc_record_id(url, ts_us, "conversion").encode("ascii")
         + b"WARC-Target-URI: %s\r\n" % url.encode("utf-8")
         + b"WARC-Date: %s\r\n" % _format_warc_date(ts_us).encode("ascii")
         + (
@@ -139,6 +143,8 @@ def write_wet(
 
     Rows whose text is null are skipped (error rows carry no conversion
     record, matching CC's behavior of omitting unextractable responses).
+    Each record's ``WARC-Refers-To`` is the id :func:`encode_warc_record`
+    gives the response record of the same ``(url, ts_us)``.
     """
     from ray.data.datasource import BlockBasedFileDatasink
 
@@ -166,6 +172,9 @@ def write_wet(
                 if text is None:
                     continue
                 ts_us = _ts_us_of(ts) if ts is not None else 0
-                file.write(gzip.compress(encode_wet_record(url, ts_us, text)))
+                rec = encode_wet_record(
+                    url, ts_us, text, refers_to=warc_record_id(url, ts_us)
+                )
+                file.write(gzip.compress(rec))
 
     ds.write_datasink(WetDatasink())

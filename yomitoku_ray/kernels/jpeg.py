@@ -236,7 +236,19 @@ def _extend(v: int, s: int) -> int:
 
 
 def decode_jpeg(blob: bytes) -> np.ndarray:
-    """JPEG bytes -> (H, W) or (H, W, 3) uint8 pixels (RGB)."""
+    """JPEG bytes -> (H, W) or (H, W, 3) uint8 pixels (RGB).
+
+    Every malformed stream raises :class:`JpegError` (the per-row error
+    policy): a marker segment too short for the fields it declares
+    surfaces as an IndexError or struct.error in the parse, re-raised
+    here."""
+    try:
+        return _decode_jpeg(blob)
+    except (IndexError, struct.error) as exc:
+        raise JpegError(f"malformed marker segment: {exc}") from exc
+
+
+def _decode_jpeg(blob: bytes) -> np.ndarray:
     if blob[:2] != b"\xff\xd8":
         raise JpegError("not a jpeg (no SOI)")
     pos = 2

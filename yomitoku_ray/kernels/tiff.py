@@ -50,6 +50,8 @@ def _read_ifd(blob: bytes, off: int, bo: str) -> tuple[dict, int]:
         else:
             voff = struct.unpack(bo + "I", blob[p + 8 : p + 12])[0]
             raw = blob[voff : voff + size]
+        if len(raw) < size:  # also bounds a corrupt count before unpacking
+            raise TiffError("truncated IFD value")
         if typ in _TYPE_FMT:
             vals = list(struct.unpack(bo + _TYPE_FMT[typ] * count, raw))
             tags[tag] = vals
@@ -193,6 +195,8 @@ def decode_tiff(blob: bytes) -> list[np.ndarray]:
         bo = ">"
     else:
         raise TiffError("not a TIFF")
+    if len(blob) < 8:
+        raise TiffError("truncated header")
     off = struct.unpack(bo + "I", blob[4:8])[0]
     pages = []
     seen = set()

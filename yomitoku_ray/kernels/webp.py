@@ -17,9 +17,11 @@ Decoder scope — the full still-image VP8L feature set:
 
 One honest restriction: color-indexing combined with the predictor or
 cross-color transform is rejected (the width-rebinding rules interact;
-real encoders never emit the combo). Lossy VP8 chunks dispatch to the
-intra-frame decoder in ``kernels/vp8.py`` (see its table-provenance
-caveat).
+real encoders never emit the combo). Lossy VP8 chunks raise
+:class:`WebpError`: a lossy decoder needs the normative VP8 probability
+and quantizer tables, which cannot be checked offline, so lossy rows
+become per-row decode errors instead of wrong pixels.
+:func:`sniff_webp_dims` still reads lossy and VP8X dimensions.
 
 Bit conventions per the spec: value fields are LSB-first; canonical
 prefix codes are read one bit at a time MSB-first (the DEFLATE
@@ -417,10 +419,11 @@ def _clamp_add_sub_half(l: int, t: int, tl: int) -> int:
 
 def _select(l: int, t: int, tl: int) -> int:
     # Manhattan distance of L and T to the (unclamped) gradient estimate
-    # L + T - TL reduces to sum|T-TL| vs sum|L-TL|.
+    # L + T - TL reduces to sum|T-TL| vs sum|L-TL|. A tie picks T, as the
+    # spec's ``if (pL < pT) return L; else return T;`` and libwebp do.
     p_l = sum(abs(a - b) for a, b in zip(_bytes4(t), _bytes4(tl)))
     p_t = sum(abs(a - b) for a, b in zip(_bytes4(l), _bytes4(tl)))
-    return l if p_l <= p_t else t
+    return l if p_l < p_t else t
 
 
 def _predict(mode: int, l: int, t: int, tl: int, tr: int) -> int:
@@ -554,28 +557,18 @@ def _inv_palette(pix: list[int], packed_w: int, h: int, xbits: int, pal: np.ndar
 # --------------------------------------------------------------- decode
 
 
-def _webp_payload(blob: bytes) -> tuple[str, bytes]:
-    """First VP8L (lossless) or VP8 (lossy) chunk: (kind, body)."""
+def _image_chunk(blob: bytes, tags: tuple[bytes, ...]) -> tuple[bytes, bytes]:
+    """First RIFF chunk whose tag is in ``tags``: (tag, body)."""
     if len(blob) < 20 or blob[:4] != b"RIFF" or blob[8:12] != b"WEBP":
         raise WebpError("not a WebP file")
     pos = 12
     while pos + 8 <= len(blob):
         tag = blob[pos : pos + 4]
         (size,) = struct.unpack("<I", blob[pos + 4 : pos + 8])
-        body = blob[pos + 8 : pos + 8 + size]
-        if tag == b"VP8L":
-            return "lossless", body
-        if tag == b"VP8 ":
-            return "lossy", body
+        if tag in tags:
+            return tag, blob[pos + 8 : pos + 8 + size]
         pos += 8 + size + (size & 1)
-    raise WebpError("no VP8L/VP8 chunk found")
-
-
-def _vp8l_payload(blob: bytes) -> bytes:
-    kind, body = _webp_payload(blob)
-    if kind != "lossless":
-        raise WebpError("not a lossless (VP8L) webp")
-    return body
+    raise WebpError("no image chunk found")
 
 
 def decode_webp(blob: bytes, max_pixels: int = 1 << 24) -> np.ndarray:
@@ -587,15 +580,9 @@ def decode_webp(blob: bytes, max_pixels: int = 1 << 24) -> np.ndarray:
     pipeline actor for minutes in the per-pixel entropy loop — the same
     decompression-bomb class as the r3 JPEG accumulator finding. Over
     the cap raises :class:`WebpError` (the per-row error policy)."""
-    kind, data = _webp_payload(blob)
-    if kind == "lossy":
-        # lossy VP8 arm (kernels/vp8.py): same bomb cap, RGB out
-        from .vp8 import Vp8Error, decode_vp8
-
-        try:
-            return decode_vp8(data, max_pixels=max_pixels)
-        except Vp8Error as exc:
-            raise WebpError(f"vp8: {exc}") from exc
+    tag, data = _image_chunk(blob, (b"VP8L", b"VP8 "))
+    if tag == b"VP8 ":
+        raise WebpError("lossy VP8 WebP is unsupported")
     if not data or data[0] != 0x2F:
         raise WebpError("bad VP8L signature")
     br = _BitReader(data[1:])
@@ -678,35 +665,24 @@ def sniff_webp_dims(blob: bytes) -> tuple[int, int]:
     keyframes and VP8X extended headers — metadata sweeps over a real
     web corpus should report those rows even though pixel decode is
     lossless-only."""
-    if len(blob) < 20 or blob[:4] != b"RIFF" or blob[8:12] != b"WEBP":
-        raise WebpError("not a WebP file")
-    pos = 12
-    while pos + 8 <= len(blob):
-        tag = blob[pos : pos + 4]
-        (size,) = struct.unpack("<I", blob[pos + 4 : pos + 8])
-        data = blob[pos + 8 : pos + 8 + size]
-        if tag == b"VP8L":
-            if len(data) < 5 or data[0] != 0x2F:
-                raise WebpError("bad VP8L signature")
-            bits = int.from_bytes(data[1:5], "little")
-            return (bits & 0x3FFF) + 1, ((bits >> 14) & 0x3FFF) + 1
-        if tag == b"VP8 ":
-            # lossy keyframe: 3-byte frame tag, 3-byte start code
-            # 0x9d 0x01 0x2a, then 14-bit w / 14-bit h little-endian
-            if len(data) < 10 or data[3:6] != b"\x9d\x01\x2a":
-                raise WebpError("bad VP8 keyframe header")
-            w = int.from_bytes(data[6:8], "little") & 0x3FFF
-            h = int.from_bytes(data[8:10], "little") & 0x3FFF
-            return w, h
-        if tag == b"VP8X":
-            # 4 bytes flags, then 24-bit canvas width-1 / height-1
-            if len(data) < 10:
-                raise WebpError("truncated VP8X header")
-            w = int.from_bytes(data[4:7], "little") + 1
-            h = int.from_bytes(data[7:10], "little") + 1
-            return w, h
-        pos += 8 + size + (size & 1)
-    raise WebpError("no image chunk found")
+    tag, data = _image_chunk(blob, (b"VP8L", b"VP8 ", b"VP8X"))
+    if tag == b"VP8L":
+        if len(data) < 5 or data[0] != 0x2F:
+            raise WebpError("bad VP8L signature")
+        bits = int.from_bytes(data[1:5], "little")
+        return (bits & 0x3FFF) + 1, ((bits >> 14) & 0x3FFF) + 1
+    if tag == b"VP8 ":
+        # lossy keyframe: 3-byte frame tag, 3-byte start code
+        # 0x9d 0x01 0x2a, then 14-bit w / 14-bit h little-endian
+        if len(data) < 10 or data[3:6] != b"\x9d\x01\x2a":
+            raise WebpError("bad VP8 keyframe header")
+        w = int.from_bytes(data[6:8], "little") & 0x3FFF
+        h = int.from_bytes(data[8:10], "little") & 0x3FFF
+        return w, h
+    # VP8X: 4 bytes flags, then 24-bit canvas width-1 / height-1
+    if len(data) < 10:
+        raise WebpError("truncated VP8X header")
+    return int.from_bytes(data[4:7], "little") + 1, int.from_bytes(data[7:10], "little") + 1
 
 
 # --------------------------------------------------------------- encode

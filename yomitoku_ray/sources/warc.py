@@ -469,6 +469,21 @@ def _format_warc_date(ts_us: int) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def warc_record_id(url: str, ts_us: int, warc_type: str = "response") -> str:
+    """Deterministic ``WARC-Record-ID`` for the ``warc_type`` record of one
+    capture ``(url, ts_us)``: ``<urn:uuid:…>`` around an md5 hex digest.
+
+    The response record hashes ``url|ts_us``; a record derived from it
+    (WAT ``metadata``, WET ``conversion``) hashes ``url|ts_us|warc_type``,
+    so every record of a capture has its own id and a derived record can
+    name its response in ``WARC-Refers-To``. md5, not built-in hash():
+    string hashing is salted per process, which would make encoded bytes
+    differ across runs.
+    """
+    key = f"{url}|{ts_us}" if warc_type == "response" else f"{url}|{ts_us}|{warc_type}"
+    return f"<urn:uuid:{hashlib.md5(key.encode('utf-8')).hexdigest()}>"
+
+
 def encode_warc_record(
     url: str,
     ts_us: int,
@@ -503,13 +518,7 @@ def encode_warc_record(
             (b"Content-Language: %s\r\n" % lang.encode("ascii")) if lang else b"",
         )
     ) + body
-    # md5, not built-in hash(): string hashing is salted per process, which
-    # would make encoded bytes nondeterministic across runs (artifact-hash
-    # comparisons flake) against the encoder's determinism contract.
-    rid = (
-        record_id
-        or f"<urn:uuid:{hashlib.md5(f'{url}|{ts_us}'.encode('utf-8')).hexdigest()}>"
-    )
+    rid = record_id or warc_record_id(url, ts_us)
     head = (
         b"WARC/1.0\r\n"
         b"WARC-Type: response\r\n"

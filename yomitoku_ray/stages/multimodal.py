@@ -1,11 +1,14 @@
 """Multimodal column stages: opaque binary payloads + typed metadata.
 
-Images/audio/video ride as ``binary`` columns with struct metadata. Pixel
-decode, resize and feature extraction are REAL for every shipped codec
-(PNG/GIF/JPEG incl. progressive+arithmetic/BMP/TIFF/WebP incl. lossy
-VP8/netpbm — pure zlib+numpy, ``kernels/``); ``DecoderBackend`` keeps a
-seam only for formats beyond them — NotImplementedError (strict mode) or
-a deterministic fake (fake mode). The Ray-side plumbing is real and
+Images/audio/video ride as ``binary`` columns with struct metadata. One
+magic-byte sniff (:func:`sniff_format`) names each image's format; the
+metadata sniff reports it and ``DecoderBackend`` decodes with that
+format's codec alone. Pixel decode, resize and feature extraction are REAL
+for every shipped codec (PNG/GIF/JPEG incl. progressive+arithmetic/BMP/
+TIFF/lossless WebP/netpbm — pure zlib+numpy, ``kernels/``). Lossy VP8
+WebP is sniffed (format and dimensions) but not decoded. An unrecognised
+format raises NotImplementedError (strict mode) or gets a deterministic
+fake (fake mode). The Ray-side plumbing is real and
 tested: schema, actor-pool stage shape, small batch sizes for large
 payloads, metadata extraction without full decode.
 
@@ -19,6 +22,7 @@ operators a training-data pipeline needs.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import struct
 import zlib
 
@@ -26,9 +30,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..kernels.png import (
-    PngError,
     block_mean_embedding,
-    decode_png,
     encode_png,
     resize_nearest,
     to_gray,
@@ -52,62 +54,75 @@ IMAGE_FEATURES = pa.struct(
 )
 
 
+def sniff_format(blob: bytes) -> str:
+    """Container format from the magic bytes alone: ``png``, ``jpeg``,
+    ``gif``, ``bmp``, ``tiff``, ``webp``, ``pnm`` or ``unknown``.
+
+    The one format decision: :func:`sniff_image_meta` reports it and
+    :meth:`DecoderBackend.decode_image` picks its codec by it.
+    """
+    if blob[:8] == b"\x89PNG\r\n\x1a\n" and len(blob) >= 24:
+        return "png"
+    if blob[:3] == b"\xff\xd8\xff":
+        return "jpeg"
+    if blob[:6] in (b"GIF87a", b"GIF89a") and len(blob) >= 10:
+        return "gif"
+    if blob[:2] == b"BM" and len(blob) >= 26:
+        return "bmp"
+    if blob[:4] in (b"II*\x00", b"MM\x00*"):
+        return "tiff"
+    if blob[:4] == b"RIFF" and blob[8:12] == b"WEBP":
+        return "webp"
+    # len check first: b"" in b"123456" is True, so a bare b"P" would match
+    if len(blob) >= 2 and blob[:1] == b"P" and blob[1:2] in b"123456":
+        return "pnm"
+    return "unknown"
+
+
 def sniff_image_meta(blob: bytes) -> dict:
-    """Header-only metadata sniff (PNG/JPEG/GIF dimensions) — no decode.
+    """Header-only metadata sniff (format and dimensions) — no decode.
 
     Real parsing of container headers is cheap and dependency-free; this is
-    NOT stubbed. Unknown formats report format='unknown', -1 dims.
+    NOT stubbed. Unknown formats, and headers too broken to give
+    dimensions, report -1 dims.
     """
-    fmt, w, h = "unknown", -1, -1
-    if blob[:8] == b"\x89PNG\r\n\x1a\n" and len(blob) >= 24:
-        fmt = "png"
-        w, h = struct.unpack(">II", blob[16:24])
-    elif blob[:3] == b"\xff\xd8\xff":
-        fmt = "jpeg"
-        i = 2
-        while i + 9 < len(blob):
-            if blob[i] != 0xFF:
-                break
-            marker = blob[i + 1]
-            seg_len = struct.unpack(">H", blob[i + 2 : i + 4])[0]
-            if marker in (0xC0, 0xC1, 0xC2, 0xC3, 0xC9, 0xCA):
-                h, w = struct.unpack(">HH", blob[i + 5 : i + 9])
-                break
-            i += 2 + seg_len
-    elif blob[:6] in (b"GIF87a", b"GIF89a") and len(blob) >= 10:
-        fmt = "gif"
-        w, h = struct.unpack("<HH", blob[6:10])
-    elif blob[:2] == b"BM" and len(blob) >= 26:
-        fmt = "bmp"
-        w, hs = struct.unpack("<ii", blob[18:26])
-        h = abs(hs)
-    elif blob[:4] in (b"II*\x00", b"MM\x00*"):
-        fmt = "tiff"
-        try:
+    fmt, w, h = sniff_format(blob), -1, -1
+    try:
+        if fmt == "png":
+            w, h = struct.unpack(">II", blob[16:24])
+        elif fmt == "jpeg":
+            i = 2
+            while i + 9 < len(blob):
+                if blob[i] != 0xFF:
+                    break
+                marker = blob[i + 1]
+                seg_len = struct.unpack(">H", blob[i + 2 : i + 4])[0]
+                if marker in (0xC0, 0xC1, 0xC2, 0xC3, 0xC9, 0xCA):
+                    h, w = struct.unpack(">HH", blob[i + 5 : i + 9])
+                    break
+                i += 2 + seg_len
+        elif fmt == "gif":
+            w, h = struct.unpack("<HH", blob[6:10])
+        elif fmt == "bmp":
+            w, hs = struct.unpack("<ii", blob[18:26])
+            h = abs(hs)
+        elif fmt == "tiff":
             from ..kernels.tiff import _H, _W, _read_ifd
 
             bo = "<" if blob[:2] == b"II" else ">"
             tags, _ = _read_ifd(blob, struct.unpack(bo + "I", blob[4:8])[0], bo)
             w = tags.get(_W, [-1])[0]
             h = tags.get(_H, [-1])[0]
-        except Exception:
-            w = h = -1
-    elif blob[:4] == b"RIFF" and blob[8:12] == b"WEBP":
-        fmt = "webp"
-        try:
+        elif fmt == "webp":
             from ..kernels.webp import sniff_webp_dims
 
             w, h = sniff_webp_dims(blob)
-        except Exception:
-            w = h = -1
-    elif blob[:1] == b"P" and blob[1:2] in b"123456":
-        fmt = "pnm"
-        try:
+        elif fmt == "pnm":
             from ..kernels.netpbm import _tokens
 
             (w, h), _ = _tokens(blob, 2, 2)
-        except Exception:
-            w = h = -1
+    except Exception:  # a header too broken to give its dimensions
+        w = h = -1
     return {
         "format": fmt,
         "width": int(w),
@@ -117,14 +132,41 @@ def sniff_image_meta(blob: bytes) -> dict:
     }
 
 
+# sniffed format -> (module under kernels/, its decode function); each
+# codec is imported on first use
+_CODECS = {
+    "png": ("png", "decode_png"),
+    "gif": ("gif", "decode_gif"),
+    "jpeg": ("jpeg", "decode_jpeg"),
+    "bmp": ("bmp", "decode_bmp"),
+    "tiff": ("tiff", "decode_tiff"),
+    "webp": ("webp", "decode_webp"),
+    "pnm": ("netpbm", "decode_netpbm"),
+}
+
+
+def _decode_as(fmt: str, blob: bytes) -> np.ndarray:
+    """(H, W, C) uint8 pixels from the codec of a known ``fmt``; raises
+    that codec's ``ValueError`` subclass on a broken or unsupported
+    stream."""
+    module, fn = _CODECS[fmt]
+    px = getattr(importlib.import_module(f"..kernels.{module}", __package__), fn)(blob)
+    if fmt == "tiff":
+        px = px[0]  # first page (paging is the paged source's job)
+    return px[:, :, None] if px.ndim == 2 else px
+
+
 class DecoderBackend:
-    """Pixel-decode: REAL for PNG/GIF/JPEG/BMP/TIFF/WebP —
-    baseline, progressive SOF2 (incl. successive approximation) AND
-    arithmetic-coded SOF9/SOF10 JPEG, full VP8L plus intra-frame lossy VP8
-    (pure zlib+numpy codecs in kernels/; see kernels/vp8_tables.py and
-    kernels/jpeg_arith.py for the foreign-bitstream table caveats); a
-    seam only for formats beyond them — NotImplementedError in strict
-    mode, deterministic fake pixels in fake mode."""
+    """Pixel decode, dispatched on :func:`sniff_format`: REAL for PNG, GIF,
+    JPEG (baseline, progressive SOF2 incl. successive approximation, and
+    arithmetic-coded SOF9/SOF10), BMP, TIFF, lossless (VP8L) WebP and
+    netpbm — pure zlib+numpy codecs in ``kernels/``.
+
+    Lossy VP8 WebP is not decoded (its codec raises ``WebpError``). In
+    strict mode an unrecognised format raises ``NotImplementedError`` and a
+    recognised one that fails to decode raises its codec's ``ValueError``
+    subclass. In fake mode every failure yields deterministic stand-in
+    pixels instead."""
 
     def __init__(self, mode: str = "strict"):
         if mode not in ("strict", "fake"):
@@ -132,58 +174,19 @@ class DecoderBackend:
         self.mode = mode
 
     def decode_image(self, blob: bytes) -> np.ndarray:
-        """blob -> (H, W, C) uint8 pixels (PNG, GIF, baseline or
-        progressive JPEG)."""
+        """blob -> (H, W, C) uint8 pixels."""
+        fmt = sniff_format(blob)
         try:
-            return decode_png(blob)
-        except PngError:
-            pass
-        from ..kernels.gif import GifError, decode_gif
-
-        try:
-            return decode_gif(blob)
-        except GifError:
-            pass
-        from ..kernels.jpeg import JpegError, decode_jpeg
-
-        try:
-            px = decode_jpeg(blob)
-            return px[:, :, None] if px.ndim == 2 else px
-        except JpegError:
-            pass
-        from ..kernels.bmp import BmpError, decode_bmp
-
-        try:
-            return decode_bmp(blob)
-        except BmpError:
-            pass
-        from ..kernels.tiff import TiffError, decode_tiff
-
-        try:
-            return decode_tiff(blob)[0]  # first page (load_pdf-style paging
-            # is the paged source's job; features use page 0)
-        except TiffError:
-            pass
-        from ..kernels.webp import WebpError, decode_webp
-
-        try:
-            return decode_webp(blob)
-        except WebpError:
-            pass
-        from ..kernels.netpbm import NetpbmError, decode_netpbm
-
-        try:
-            px = decode_netpbm(blob)
-            return px[:, :, None] if px.ndim == 2 else px
-        except NetpbmError:
-            pass
-        if self.mode == "strict":
-            raise NotImplementedError(
-                "image decode beyond PNG/GIF/JPEG/BMP/TIFF/WebP "
-                "requires a codec library not present in this container; "
-                "run with DecoderBackend(mode='fake') for the "
-                "deterministic stand-in"
-            )
+            if fmt == "unknown":
+                raise NotImplementedError(
+                    f"unrecognised image format (decoded: {'/'.join(_CODECS)}); "
+                    "run with DecoderBackend(mode='fake') for the "
+                    "deterministic stand-in"
+                )
+            return _decode_as(fmt, blob)
+        except (ValueError, NotImplementedError):
+            if self.mode == "strict":
+                raise
         # Deterministic fake pixels from a stable digest of the bytes —
         # stands in for a real decode so downstream feature plumbing
         # (ANN, dedup on embeddings) is exercisable for any format.
@@ -223,8 +226,8 @@ class ImageMetaStage:
 class ImageFeatureStage:
     """Actor stage: binary image column -> feature struct.
 
-    PNG payloads get REAL pixel features (decode + luma + block-mean
-    signature); other formats follow the backend mode — deterministic fake
+    Decodable payloads get REAL pixel features (decode + luma + block-mean
+    signature); the rest follow the backend mode — deterministic fake
     pixels ('fake') or a raise at first batch ('strict', the correct
     behavior when a real decoder is required but absent).
     """
@@ -243,8 +246,9 @@ class ImageFeatureStage:
 
 class ImageResizeStage:
     """Actor stage: real resize (decode -> nearest-neighbor -> PNG
-    re-encode) for every decodable format (PNG/GIF/JPEG/BMP/TIFF/WebP
-    via :class:`DecoderBackend`); the normalized output is always PNG.
+    re-encode) for every decodable format (PNG/GIF/JPEG/BMP/TIFF/lossless
+    WebP/netpbm via :class:`DecoderBackend`); the normalized output is
+    always PNG.
 
     Undecodable payloads pass through unchanged with ``resized=False`` —
     resize without a decoder would be a lie. Small batches: payloads are

@@ -35,6 +35,7 @@ boundary.
 
 from __future__ import annotations
 
+import gc
 import glob
 import hashlib
 import json
@@ -317,6 +318,16 @@ def run_resumable(
             stage_stats = ds.stats()[:4000]  # per-stage wall/cpu breakdown
         except Exception:
             stage_stats = ""
+        # The wave's actors hold their CPUs until their ActorHandles are
+        # freed, and each handle sits in a reference cycle inside Ray (the
+        # handle <-> its ActorMethod objects; the ActorPoolMapOperator is
+        # in another, through the ray_remote_args_fn closure that Ray
+        # Data's ConfigureMapTaskMemoryRule binds to it). Reference counting
+        # never frees them, so without a collection here the next wave, or
+        # the caller's next Dataset, waits for CPUs until the collector
+        # happens to run.
+        del ds
+        gc.collect()
 
         try:
             os.replace(tmp_dir, final_dir)  # atomic, succeeds at most once

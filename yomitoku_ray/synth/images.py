@@ -1,10 +1,12 @@
 """Deterministic synthetic images table (PNG/GIF/JPEG incl. progressive +
-arithmetic-coded/BMP/TIFF/WebP incl. lossy VP8/junk).
+arithmetic-coded/BMP/TIFF/lossless WebP/junk).
 
 Every row is a pure function of its index: solid fills, horizontal
-gradients and 2x2 checkerboards encoded with the repo's own PNG/GIF
-codecs, plus ~4% undecodable junk rows exercising the per-row error
-policy. Ground-truth luma is computable analytically, which the tests pin.
+gradients and 2x2 checkerboards encoded with the repo's own codecs, plus
+~4% undecodable junk rows exercising the per-row error policy. Every
+other row decodes with the repo's codecs, so WebP rows are lossless only
+(lossy VP8 is not decoded). Ground-truth luma is computable analytically,
+which the tests pin.
 """
 
 from __future__ import annotations
@@ -49,19 +51,7 @@ def gen_image(i: int) -> dict:
         mask = ((np.arange(h)[:, None] // 2 + np.arange(w)[None, :] // 2) % 2).astype(bool)
         px = np.where(mask[:, :, None], a[None, None, :], b[None, None, :]).astype(np.uint8)
     enc = i % 9
-    if enc == 8:  # webp, rotating through lossless decoder paths + lossy VP8
-        variant = (i // 9) % 6
-        if variant >= 4:  # lossy VP8 arm (16x16 DC or all-B_DC 4x4)
-            from ..kernels.vp8 import encode_webp_lossy
-            from ..kernels.vp8_tables import B_PRED, DC_PRED
-
-            blob = encode_webp_lossy(
-                px,
-                qindex=8,
-                filter_level=16,
-                ymode=DC_PRED if variant == 4 else B_PRED,
-            )
-            return {"img_id": i, "image": blob, "kind": "webp"}
+    if enc == 8:  # webp, rotating through the four lossless encoder paths
         from ..kernels.webp import encode_webp_lossless
 
         kw = (
@@ -69,7 +59,7 @@ def gen_image(i: int) -> dict:
             {"cache_bits": 6},
             {"predictor": 7},
             {"palette": True},
-        )[variant]
+        )[(i // 9) % 4]
         return {"img_id": i, "image": encode_webp_lossless(px, **kw), "kind": "webp"}
     if enc == 0:
         return {"img_id": i, "image": encode_png(px), "kind": "png"}
@@ -128,7 +118,7 @@ def gen_image(i: int) -> dict:
     }
 
 
-def ensure_images_parquet(sf_dir: str, cache_root: str = "/tmp/yomitoku_ray_images_v9") -> str:
+def ensure_images_parquet(sf_dir: str, cache_root: str = "/tmp/yomitoku_ray_images_v10") -> str:
     import pyarrow.parquet as pq
 
     from .pages import rows_for_sf_dir
