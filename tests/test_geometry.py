@@ -108,46 +108,53 @@ def _random_boxes(rng, n, big=200):
     return np.stack([x1, y1, x1 + w, y1 + h], axis=1).astype(float)
 
 
-def test_adjacency_matrices_match_scalar_exhaustive():
-    import numpy as _np
-
-    from yomitoku_ray.kernels.geometry import is_bottom_adjacent, is_right_adjacent
-    from yomitoku_ray.kernels.geometry_vec import (
-        bottom_adjacency_matrix,
-        right_adjacency_matrix,
-    )
-
-    rng = _np.random.RandomState(7)
-    A = _random_boxes(rng, 40)
-    # include touching/degenerate-ish cases: clones and shifted copies
+def _edge_case_boxes(rng):
+    """Random boxes plus the shapes the shared planes must not get wrong:
+    zero-height and zero-width boxes, a point, clones and touching copies."""
+    A = _random_boxes(rng, 36)
+    A[1] = [30, 40, 90, 40]  # zero height
+    A[2] = [30, 40, 30, 80]  # zero width
+    A[3] = [50, 50, 50, 50]  # a point
     A[5] = A[4] + [60, 0, 60, 0]
     A[6] = A[4] + [0, 40, 0, 40]
     A[7] = A[4]
-    kwargs_grid = [
-        dict(dist_threshold=15, overlap_ratio_th=0.1, ignore_dist_threshold=10),
-        dict(dist_threshold=20, overlap_ratio_th=0.25, ignore_dist_threshold=10),
+    A[8] = A[1] + [0, 12, 0, 12]
+    A[9] = A[2] + [12, 0, 12, 0]
+    return A
+
+
+def test_adjacency_matrices_match_scalar_exhaustive():
+    """Every rule at both threshold sets, read from one AdjacencyPlanes per
+    box pair set, equals the scalar predicate: square and rectangular, and
+    a superset of what the semantic parsers read (TableAdjacency.RULES)."""
+    from yomitoku_ray.kernels.geometry import is_bottom_adjacent, is_right_adjacent
+    from yomitoku_ray.kernels.geometry_vec import AdjacencyPlanes
+    from yomitoku_ray.semantic.parser import TableAdjacency
+
+    rng = np.random.RandomState(7)
+    A = _edge_case_boxes(rng)
+    B = np.concatenate([A[::3], _random_boxes(rng, 9)])
+    scalar = {"right": is_right_adjacent, "bottom": is_bottom_adjacent}
+    rules = {"right": ("soft", "hard", "nest"), "bottom": ("soft", "hard", "nest", "child")}
+    specs = [
+        (axis, rule, dist, ratio, 10)
+        for dist, ratio in ((15, 0.1), (20, 0.25))
+        for axis in rules
+        for rule in rules[axis]
     ]
-    for kw in kwargs_grid:
-        for rule in ("soft", "hard", "nest"):
-            M = right_adjacency_matrix(A, A, rule=rule, **kw)
-            for i in range(len(A)):
-                for j in range(len(A)):
-                    assert M[i, j] == is_right_adjacent(A[i], A[j], rule=rule, **kw), (
-                        rule,
-                        kw,
-                        i,
-                        j,
+    assert set(TableAdjacency.RULES.values()) <= set(specs)
+    for X, Y in ((A, A), (A, B), (B, A)):
+        planes = AdjacencyPlanes(X, Y)
+        for axis, rule, dist, ratio, ignore in specs:
+            M = planes.matrix(axis, rule, dist, ratio, ignore)
+            assert M.shape == (len(X), len(Y))
+            for i in range(len(X)):
+                for j in range(len(Y)):
+                    want = scalar[axis](
+                        X[i], Y[j], rule=rule, dist_threshold=dist,
+                        overlap_ratio_th=ratio, ignore_dist_threshold=ignore,
                     )
-        for rule in ("soft", "hard", "nest", "child"):
-            M = bottom_adjacency_matrix(A, A, rule=rule, **kw)
-            for i in range(len(A)):
-                for j in range(len(A)):
-                    assert M[i, j] == is_bottom_adjacent(A[i], A[j], rule=rule, **kw), (
-                        rule,
-                        kw,
-                        i,
-                        j,
-                    )
+                    assert M[i, j] == want, (axis, rule, dist, i, j)
 
 
 def test_overlap_ratio_matrix_matches_scalar():
@@ -246,3 +253,56 @@ def test_containment_filters_match_scalar_reference():
             {"s": list(src), "t": list(tgt)}, "s", "t"
         )
         assert [id(e) for e in got2["t"]] == want2
+
+
+def test_table_adjacency_slices_equal_fresh_evaluations():
+    """A consumer's slice of the table's matrix is the matrix a fresh
+    evaluation over just its cells gives, for any subsets and order."""
+    from types import SimpleNamespace
+
+    from yomitoku_ray.kernels.geometry_vec import AdjacencyPlanes
+    from yomitoku_ray.semantic.parser import TableAdjacency
+
+    rng = np.random.RandomState(5)
+    cells = [SimpleNamespace(box=list(b)) for b in _edge_case_boxes(rng)]
+    adj = TableAdjacency(cells)
+    rows, cols = cells[20:2:-3], cells[::4]
+    boxes = lambda cs: np.asarray([c.box for c in cs])  # noqa: E731
+    fresh = AdjacencyPlanes(boxes(rows), boxes(cols))
+    for name, spec in TableAdjacency.RULES.items():
+        (got,) = adj.sub(rows, cols, name)
+        assert np.array_equal(got, fresh.matrix(*spec)), name
+    assert adj.sub([], cols, "right_soft")[0].shape == (0, len(cols))
+
+
+def test_semantic_parse_evaluates_adjacency_once_per_table(monkeypatch):
+    """The semantic parser builds one AdjacencyPlanes per table and slices
+    it everywhere else: no per-cluster or per-rule kernel call."""
+    import os
+    import sys
+
+    from yomitoku_ray.kernels.geometry_vec import AdjacencyPlanes
+    from yomitoku_ray.semantic import parse_semantic_html_bytes
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "ccbench"))
+    import gen
+
+    calls = []
+    init = AdjacencyPlanes.__init__
+
+    def counting_init(self, A, B):
+        calls.append(len(A))
+        init(self, A, B)
+
+    monkeypatch.setattr(AdjacencyPlanes, "__init__", counting_init)
+    rows, _ = gen.generate("semantic_tables", 7, 1)
+    checked = 0
+    for row in rows[:12]:
+        calls.clear()
+        doc, err = parse_semantic_html_bytes(row["html"])
+        assert err is None
+        if len(doc.tables) < 2:
+            continue
+        checked += 1
+        assert 1 <= len(calls) <= len(doc.tables), (row["url"], calls)
+    assert checked >= 3

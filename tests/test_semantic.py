@@ -152,3 +152,82 @@ def test_semantic_document_dump_roundtrip():
     dumped = doc.dump()
     s = json.dumps(dumped, ensure_ascii=False, sort_keys=True)
     assert "kv_items" in s and "grids" in s
+
+
+def _reference_weak_clusters(nodes):
+    """The reference's clustering DAG built pair by pair with the scalar
+    predicates and a dict graph (table_semantic_parser.py:84-187)."""
+    from yomitoku_ray.kernels.geometry import is_bottom_adjacent, is_right_adjacent
+    from yomitoku_ray.kernels.graph import LabeledDiGraph
+
+    H, C, E = nodes["header"], nodes["cell"], nodes["empty"]
+    dag = LabeledDiGraph()
+    for n in H + C + E:
+        dag.add_node(n.id)
+    for h in H:
+        for c in C + E:
+            if is_bottom_adjacent(h.box, c.box, rule="nest") or is_right_adjacent(h.box, c.box):
+                dag.add_edge(h.id, c.id, dir="D")
+        for h2 in H:
+            if h2.id == h.id:
+                continue
+            if is_right_adjacent(h.box, h2.box):
+                dag.add_edge(h.id, h2.id, dir="D")
+            if is_bottom_adjacent(h.box, h2.box, rule="child"):
+                dag.add_edge(h.id, h2.id, dir="nest")
+    single = [(u, dag.succ_by(u, "nest")) for u in dag.nodes]
+    dag.remove_edges_from([(u, outs[0]) for u, outs in single if len(outs) == 1])
+    for c1 in C + E:
+        for c2 in C + E:
+            if c1.id != c2.id and (
+                is_right_adjacent(c1.box, c2.box) or is_bottom_adjacent(c1.box, c2.box, rule="hard")
+            ):
+                dag.add_edge(c1.id, c2.id, dir="D")
+    for e in E:
+        for h in H:
+            if is_bottom_adjacent(e.box, h.box, rule="hard") or is_right_adjacent(e.box, h.box, rule="hard"):
+                dag.add_edge(e.id, h.id, dir="D")
+    return [sorted(comp) for comp in dag.weakly_connected_components()], single
+
+
+def test_weak_clusters_match_the_dict_graph_reference():
+    """Union-find over the sliced matrices gives the reference's components,
+    in its order, on jittered lattices with spanning, nested and
+    overlapping headers."""
+    import random
+
+    from yomitoku_ray.semantic.parser import TableAdjacency, _split_nodes_with_role, _weakly_cluster_nodes
+    from yomitoku_ray.semantic.schemas import SemanticCell
+
+    r = random.Random(5)
+    n_single = n_multi = 0
+    for t in range(150):
+        cells = []
+        for row in range(r.randint(2, 5)):
+            col = 0
+            while col < 4:
+                span = r.choice((1, 1, 1, 2))
+                if r.random() < 0.15:
+                    # a header strip nested under the cell above (child rule)
+                    span, height = 1, 10
+                else:
+                    height = 30
+                x1, y1 = 60 * col + r.randint(0, 8), 40 * row + r.randint(0, 8)
+                box = [x1, y1, x1 + 60 * span - 12 + r.randint(-4, 4), y1 + height]
+                role = r.choice(("header", "header", "cell", "empty"))
+                cells.append(SemanticCell(contents=None, role=role, id=f"x{len(cells)}", box=box))
+                col += span
+        for c in r.sample(cells, 2):
+            # a header over another box's lower-right corner: both soft-right
+            # and child-below of it, so the label overwrite decides the edge
+            x2, y2 = c.box[2], c.box[3]
+            cells.append(SemanticCell(contents=None, role="header", id=f"x{len(cells)}", box=[x2 - 12, y2 - 4, x2, y2 + 20]))
+        r.shuffle(cells)
+        nodes = _split_nodes_with_role(cells)
+        want, single = _reference_weak_clusters(nodes)
+        got = _weakly_cluster_nodes(nodes, TableAdjacency(nodes["header"] + nodes["cell"] + nodes["empty"]))
+        assert [sorted(n.id for n in g) for g in got] == want, t
+        n_single += any(len(outs) == 1 for _, outs in single)
+        n_multi += any(len(outs) > 1 for _, outs in single)
+    # the layouts reach both sides of the single-nest-edge drop
+    assert n_single > 10 and n_multi > 0, (n_single, n_multi)

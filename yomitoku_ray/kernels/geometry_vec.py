@@ -8,9 +8,14 @@ boolean matrices returned here agree element-wise with the scalar
 calls they replace (asserted exhaustively in tests/test_geometry.py).
 
 These exist because the table/semantic parsers need adjacency over ALL cell
-pairs: the scalar nested loop is O(n^2) Python calls per table and was the
-top profile entry; one broadcasted evaluation of the same formulas is ~100x
-cheaper and keeps byte parity.
+pairs: the scalar nested loop is O(n^2) Python calls per table. The parsers
+read eight (axis, rule, thresholds) combinations, all from the same corner
+distances, overlaps and point-to-edge distances, so ``AdjacencyPlanes``
+computes those planes once per box set and derives each rule from them by
+comparisons only; the semantic parser builds one per table and slices it
+for every consumer (semantic/parser.py ``TableAdjacency``). On matrices of
+a few dozen boxes numpy's per-call cost dominates, so the number of
+evaluations, not their size, sets the cost.
 """
 
 from __future__ import annotations
@@ -67,94 +72,100 @@ def _split_ab(A, B):
     return ax1, ay1, ax2, ay2, bx1, by1, bx2, by2
 
 
-def right_adjacency_matrix(
-    A,
-    B,
-    dist_threshold=15,
-    overlap_ratio_th=0.1,
-    ignore_dist_threshold=10,
-    rule="soft",
-):
-    """(n, m) bool: is B[j] adjacent to the right of A[i].
-
-    Element-wise identical to geometry.is_right_adjacent (misc.py:299-353).
-    """
-    ax1, ay1, ax2, ay2, bx1, by1, bx2, by2 = _split_ab(A, B)
-
-    ok = bx1 >= ax1
-    ov = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
-    ok &= ov >= overlap_ratio_th * np.minimum(ay2 - ay1, by2 - by1)
-    ok &= np.hypot(ax2 - bx1, ay2 - by1) >= ignore_dist_threshold
-    ok &= np.hypot(ax2 - bx1, ay1 - by2) >= ignore_dist_threshold
-
-    d1 = _pt_seg_v(ax2, ay1, bx1, by1, by2)
-    d2 = _pt_seg_v(ax2, ay2, bx1, by1, by2)
-    d3 = _pt_seg_v(bx1, by1, ax2, ay1, ay2)
-    d4 = _pt_seg_v(bx1, by2, ax2, ay1, ay2)
+def _right_planes(ax1, ay1, ax2, ay2, bx1, by1, bx2, by2):
+    """Shared planes of is_right_adjacent (misc.py:299-353): the ordering
+    precondition, overlap amount and minimum extent, the two ignore and two
+    hard corner distances, min(e1..e4) and e3."""
+    # each call stacks the two points measured against one edge
+    d1, d2 = _pt_seg_v(ax2, np.stack([ay1, ay2]), bx1, by1, by2)
+    d3, d4 = _pt_seg_v(bx1, np.stack([by1, by2]), ax2, ay1, ay2)
     # right_edge_to_left_edge_dist returns (max(d1,d4), max(d2,d3),
-    # max(d3,d4), max(d1,d2)) — the caller's d1..d4 are these maxima.
+    # max(d3,d4), max(d1,d2)) — the caller's e1..e4 are these maxima.
     e1 = np.maximum(d1, d4)
     e2 = np.maximum(d2, d3)
     e3 = np.maximum(d3, d4)
     e4 = np.maximum(d1, d2)
-
-    if rule == "hard":
-        cond = (np.hypot(ax2 - bx1, ay1 - by1) < dist_threshold) & (
-            np.hypot(ax2 - bx1, ay2 - by2) < dist_threshold
-        )
-    elif rule == "soft":
-        cond = np.minimum(np.minimum(e1, e2), np.minimum(e3, e4)) < dist_threshold
-    elif rule == "nest":
-        cond = e3 < dist_threshold
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
-    return ok & cond
-
-
-def bottom_adjacency_matrix(
-    A,
-    B,
-    dist_threshold=15,
-    overlap_ratio_th=0.1,
-    ignore_dist_threshold=10,
-    rule="soft",
-):
-    """(n, m) bool: is B[j] adjacent below A[i].
-
-    Element-wise identical to geometry.is_bottom_adjacent (misc.py:356-427),
-    including the 'child' rule (nested but not a strict corner match).
-    """
-    ax1, ay1, ax2, ay2, bx1, by1, bx2, by2 = _split_ab(A, B)
-
-    ok = by1 >= ay1
-    ov = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
-    ok &= ov >= overlap_ratio_th * np.minimum(ax2 - ax1, bx2 - bx1)
-    ok &= np.hypot(ax2 - bx1, ay2 - by1) >= ignore_dist_threshold
-    ok &= np.hypot(ax1 - bx2, ay2 - by1) >= ignore_dist_threshold
-
-    d1 = _pt_seg_h(ax1, ay2, bx1, bx2, by1)
-    d2 = _pt_seg_h(ax2, ay2, bx1, bx2, by1)
-    d3 = _pt_seg_h(bx1, by1, ax1, ax2, ay2)
-    d4 = _pt_seg_h(bx2, by1, ax1, ax2, ay2)
-    e1 = np.maximum(d1, d4)
-    e2 = np.maximum(d2, d3)
-    e3 = np.maximum(d3, d4)
-    e4 = np.maximum(d1, d2)
-
-    hard = (np.hypot(ax1 - bx1, ay2 - by1) < dist_threshold) & (
-        np.hypot(ax2 - bx2, ay2 - by1) < dist_threshold
+    return dict(
+        pre=bx1 >= ax1,
+        ov=np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1)),
+        extent=np.minimum(ay2 - ay1, by2 - by1),
+        ignore=(np.hypot(ax2 - bx1, ay2 - by1), np.hypot(ax2 - bx1, ay1 - by2)),
+        corner=(np.hypot(ax2 - bx1, ay1 - by1), np.hypot(ax2 - bx1, ay2 - by2)),
+        e_min=np.minimum(np.minimum(e1, e2), np.minimum(e3, e4)),
+        e3=e3,
     )
-    if rule == "hard":
-        cond = hard
-    elif rule == "soft":
-        cond = np.minimum(np.minimum(e1, e2), np.minimum(e3, e4)) < dist_threshold
-    elif rule == "nest":
-        cond = e3 < dist_threshold
-    elif rule == "child":
-        cond = ~hard & (e3 < dist_threshold)
-    else:
+
+
+def _bottom_planes(ax1, ay1, ax2, ay2, bx1, by1, bx2, by2):
+    """Shared planes of is_bottom_adjacent (misc.py:356-427), same fields
+    as ``_right_planes``."""
+    d1, d2 = _pt_seg_h(np.stack([ax1, ax2]), ay2, bx1, bx2, by1)
+    d3, d4 = _pt_seg_h(np.stack([bx1, bx2]), by1, ax1, ax2, ay2)
+    e1 = np.maximum(d1, d4)
+    e2 = np.maximum(d2, d3)
+    e3 = np.maximum(d3, d4)
+    e4 = np.maximum(d1, d2)
+    return dict(
+        pre=by1 >= ay1,
+        ov=np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1)),
+        extent=np.minimum(ax2 - ax1, bx2 - bx1),
+        ignore=(np.hypot(ax2 - bx1, ay2 - by1), np.hypot(ax1 - bx2, ay2 - by1)),
+        corner=(np.hypot(ax1 - bx1, ay2 - by1), np.hypot(ax2 - bx2, ay2 - by1)),
+        e_min=np.minimum(np.minimum(e1, e2), np.minimum(e3, e4)),
+        e3=e3,
+    )
+
+
+class AdjacencyPlanes:
+    """Every adjacency rule over all (A[i], B[j]) pairs from one set of
+    geometry planes.
+
+    Each axis's planes are computed once, on first use; a rule at given
+    thresholds is then only comparisons on them, and is kept, so asking
+    twice costs nothing. Element-wise identical to
+    geometry.is_right_adjacent / is_bottom_adjacent, including the bottom
+    'child' rule (nested but not a strict corner match).
+    """
+
+    _PLANES = {"right": _right_planes, "bottom": _bottom_planes}
+
+    def __init__(self, A, B):
+        self._ab = _split_ab(A, B)
+        self._planes = {}
+        self._rules = {}
+
+    def matrix(
+        self,
+        axis,
+        rule="soft",
+        dist_threshold=15,
+        overlap_ratio_th=0.1,
+        ignore_dist_threshold=10,
+    ):
+        """(n, m) bool: is B[j] adjacent to the ``axis`` side of A[i].
+        The array is kept for the next caller: index it, do not write it."""
+        key = (axis, rule, dist_threshold, overlap_ratio_th, ignore_dist_threshold)
+        m = self._rules.get(key)
+        if m is None:
+            m = self._rules[key] = self._rule(*key)
+        return m
+
+    def _rule(self, axis, rule, dist, overlap_ratio_th, ignore):
+        p = self._planes.get(axis)
+        if p is None:
+            p = self._planes[axis] = self._PLANES[axis](*self._ab)
+        ok = p["pre"] & (p["ov"] >= overlap_ratio_th * p["extent"])
+        ok &= (p["ignore"][0] >= ignore) & (p["ignore"][1] >= ignore)
+        hard = (p["corner"][0] < dist) & (p["corner"][1] < dist)
+        if rule == "hard":
+            return ok & hard
+        if rule == "soft":
+            return ok & (p["e_min"] < dist)
+        if rule == "nest":
+            return ok & (p["e3"] < dist)
+        if rule == "child" and axis == "bottom":
+            return ok & ~hard & (p["e3"] < dist)
         raise ValueError(f"unknown rule {rule!r}")
-    return ok & cond
 
 
 def overlap_ratio_matrix(A, B):

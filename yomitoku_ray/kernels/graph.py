@@ -1,14 +1,12 @@
 """Tiny graph structures used by reading order and table parsing.
 
 ``Node`` matches the reference's spatial-DAG node (utils/graph.py:1-20);
-``DiGraph`` is a minimal dependency-free stand-in for the networkx digraph the
-reference uses for table line traversal (utils/misc.py:430-448) — workers
-should not need networkx for a 20-line BFS.
+``LabeledDiGraph`` is a minimal dependency-free stand-in for the networkx
+digraphs the reference's table parsers use — workers should not need
+networkx for a few BFS passes.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 
 class Node:
@@ -33,70 +31,6 @@ class Node:
         if "contents" in self.prop:
             return str(self.prop["contents"])
         return "node"
-
-
-class DiGraph:
-    """Minimal directed graph with edge attributes (insertion-ordered)."""
-
-    def __init__(self):
-        self._succ = {}
-        self._pred = {}
-        self._edge_attrs = {}
-
-    @property
-    def nodes(self):
-        return self._succ.keys()
-
-    def add_node(self, u):
-        if u not in self._succ:
-            self._succ[u] = []
-            self._pred[u] = []
-
-    def add_edge(self, u, v, **attrs):
-        self.add_node(u)
-        self.add_node(v)
-        if v not in self._succ[u]:
-            self._succ[u].append(v)
-            self._pred[v].append(u)
-        self._edge_attrs[(u, v)] = attrs
-
-    def successors(self, u):
-        return list(self._succ.get(u, ()))
-
-    def predecessors(self, u):
-        return list(self._pred.get(u, ()))
-
-    def edge(self, u, v):
-        return self._edge_attrs.get((u, v), {})
-
-    def in_degree(self, u):
-        return len(self._pred.get(u, ()))
-
-    def out_degree(self, u):
-        return len(self._succ.get(u, ()))
-
-    def remove_edge(self, u, v):
-        if v in self._succ.get(u, ()):
-            self._succ[u].remove(v)
-            self._pred[v].remove(u)
-            self._edge_attrs.pop((u, v), None)
-
-    def weakly_connected_components(self):
-        seen = set()
-        for start in self._succ:
-            if start in seen:
-                continue
-            comp = []
-            queue = deque([start])
-            seen.add(start)
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
-                for v in self._succ.get(u, ()) + self._pred.get(u, ()):
-                    if v not in seen:
-                        seen.add(v)
-                        queue.append(v)
-            yield comp
 
 
 class _NodesView:
@@ -178,41 +112,15 @@ class LabeledDiGraph:
     def edge_dir(self, u, v):
         return self._succ.get(u, {}).get(v)
 
-    def edges(self):
-        """Yield (u, v, label) in insertion order."""
-        for u, nbrs in self._succ.items():
-            for v, lab in nbrs.items():
-                yield u, v, lab
-
-    def relabel_edges(self, from_label, to_label):
-        for u, nbrs in self._succ.items():
-            for v, lab in nbrs.items():
-                if lab == from_label:
-                    nbrs[v] = to_label
-                    self._pred[v][u] = to_label
-
     # -- traversal ------------------------------------------------------
     def successors(self, u):
         return list(self._succ.get(u, ()))
-
-    def predecessors(self, u):
-        return list(self._pred.get(u, ()))
 
     def succ_by(self, u, label):
         return [v for v, lab in self._succ.get(u, {}).items() if lab == label]
 
     def pred_by(self, u, label):
         return [p for p, lab in self._pred.get(u, {}).items() if lab == label]
-
-    def in_degree_by(self, u, label):
-        return sum(1 for lab in self._pred.get(u, {}).values() if lab == label)
-
-    def copy(self):
-        G = LabeledDiGraph()
-        G._attrs = {u: dict(a) for u, a in self._attrs.items()}
-        G._succ = {u: dict(n) for u, n in self._succ.items()}
-        G._pred = {u: dict(n) for u, n in self._pred.items()}
-        return G
 
     # -- components -----------------------------------------------------
     def weakly_connected_components(self):
@@ -238,47 +146,38 @@ class LabeledDiGraph:
                         stack.append(p)
             yield comp
 
-    def components_by(self, label):
-        """Undirected connected components of the ``label``-edge subgraph,
-        isolates included, in node-insertion order."""
+    def branches_by(self, label):
+        """True iff some node has two or more out-edges labelled ``label``."""
+        return any(list(nbrs.values()).count(label) > 1 for nbrs in self._succ.values())
+
+    def heads_by(self, label):
+        """Line heads of the ``label``-edge subgraph: for each undirected
+        component (isolates included, in node-insertion order), its nodes
+        with no incoming ``label`` edge, sorted, or its least node when
+        every node has one (a cycle)."""
         adj = {u: [] for u in self._attrs}
+        has_in = set()
         for u, nbrs in self._succ.items():
             for v, lab in nbrs.items():
                 if lab == label:
                     adj[u].append(v)
                     adj[v].append(u)
+                    has_in.add(v)
         seen = set()
-        comps = []
+        heads = []
         for start in self._attrs:
             if start in seen:
                 continue
-            comp = set()
+            comp = [start]
             stack = [start]
             seen.add(start)
             while stack:
-                u = stack.pop()
-                comp.add(u)
-                for v in adj[u]:
+                for v in adj[stack.pop()]:
                     if v not in seen:
                         seen.add(v)
                         stack.append(v)
-            comps.append(comp)
-        return comps
+                        comp.append(v)
+            roots = [n for n in comp if n not in has_in]
+            heads.extend(sorted(roots) if roots else [min(comp)])
+        return heads
 
-
-def get_line_with_head(dag: DiGraph, head, dir_value):
-    """Collect nodes reachable from head via edges labeled dir=dir_value.
-
-    Parity: utils/misc.py:430-448 (BFS, duplicates allowed as in reference).
-    """
-    line_nodes = []
-    queue = deque([head])
-    while queue:
-        u = queue.popleft()
-        if u not in dag.nodes:
-            continue
-        line_nodes.append(u)
-        for v in dag.successors(u):
-            if dag.edge(u, v).get("dir") == dir_value:
-                queue.append(v)
-    return line_nodes

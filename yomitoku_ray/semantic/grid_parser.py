@@ -25,7 +25,6 @@ from itertools import count
 import numpy as np
 
 from ..kernels.geometry import is_bottom_adjacent, is_right_adjacent
-from ..kernels.geometry_vec import bottom_adjacency_matrix, right_adjacency_matrix
 from ..kernels.graph import LabeledDiGraph
 from ..kernels.union_find import UnionFind
 from .schemas import TableGrid
@@ -49,40 +48,30 @@ def get_line_with_head(dag, head, dir_value):
     return line_nodes
 
 
-def _get_grid_dag(nodes):
+def _get_grid_dag(nodes, adj):
     """Soft-adjacency DAG over cell/empty/header nodes (grid_parser.py:17-54).
 
-    Adjacency is evaluated as two broadcasted boolean matrices
-    (kernels/geometry_vec, bit-identical to the scalar predicates); the
-    Python loop below runs only over the TRUE entries, in the exact
-    (row-major, bottom-before-right) insertion order of the original
-    nested-loop construction so downstream traversal order is unchanged.
+    Adjacency is the (20, 0.25, 10) soft-rule slice of the table's
+    ``TableAdjacency`` (bit-identical to the scalar predicates); the loop
+    below runs only over the TRUE entries, in the exact (row-major,
+    bottom-before-right) insertion order of the original nested-loop
+    construction so downstream traversal order is unchanged.
     """
     dag = LabeledDiGraph()
     cells = nodes["cell"] + nodes["empty"] + nodes["header"]
     for cell in cells:
         dag.add_node(cell.id, bbox=cell.box, role=cell.role, contents=cell.contents)
-    if not cells:
-        return dag
-    boxes = np.asarray([c.box for c in cells], dtype=np.float64)
-    soft = dict(rule="soft", dist_threshold=20, overlap_ratio_th=0.25)
-    bot = bottom_adjacency_matrix(boxes, boxes, **soft)
-    rgt = right_adjacency_matrix(boxes, boxes, **soft)
+    bot, rgt = adj.sub(cells, cells, "grid_bottom", "grid_right")
     np.fill_diagonal(bot, False)
     np.fill_diagonal(rgt, False)
     ids = [c.id for c in cells]
-    either = bot | rgt
-    for i in range(len(ids)):
-        row_b, row_r = bot[i], rgt[i]
-        for j in np.nonzero(either[i])[0]:
-            if ids[i] == ids[j]:
-                continue
-            if row_b[j]:
-                dag.add_edge(ids[i], ids[j], dir="D")
-                dag.add_edge(ids[j], ids[i], dir="U")
-            if row_r[j]:
-                dag.add_edge(ids[i], ids[j], dir="R")
-                dag.add_edge(ids[j], ids[i], dir="L")
+    for i, j in zip(*np.nonzero(bot | rgt)):
+        if bot[i, j]:
+            dag.add_edge(ids[i], ids[j], dir="D")
+            dag.add_edge(ids[j], ids[i], dir="U")
+        if rgt[i, j]:
+            dag.add_edge(ids[i], ids[j], dir="R")
+            dag.add_edge(ids[j], ids[i], dir="L")
     return dag
 
 
@@ -192,15 +181,15 @@ def _neighbors(G, u, kind, label):
     return G.succ_by(u, label)
 
 
-def _normalize_line(dag, head, out_dir):
-    """Split every multi-out node reachable from head into 1:1 dup nodes.
+def _normalize_line(G, head, out_dir):
+    """Split every multi-out node reachable from head into 1:1 dup nodes,
+    in place.
 
     One traversal covering all four reference twins
     (grid_parser.py:177-305 rows, :308-421 cols).
     """
     mode = _MODES[out_dir]
     in_dir = mode["back"]
-    G = dag.copy()
     queue = deque([head])
     dup_seq = count(1)
 
@@ -256,46 +245,27 @@ def _normalize_line(dag, head, out_dir):
         G.remove_node(u)
         queue.extend(dups)
 
-    return G
 
-
-def _components_with_isolates(dag, dir_value):
-    """Connected components of the dir_value-only undirected view, isolates
-    included (grid_parser.py:457-467)."""
-    return dag.components_by(dir_value)
-
-
-def _cluster_heads_by_in_degree(dag, dir_value):
-    """Line heads: in-degree-0 nodes of each dir_value component (or the
-    lexicographic min for cycles). Parity: grid_parser.py:470-490."""
-    comps = _components_with_isolates(dag, dir_value)
-    heads = []
-    for comp in comps:
-        roots = [n for n in comp if dag.in_degree_by(n, dir_value) == 0]
-        heads.extend(sorted(roots) if roots else [min(comp)])
-    return heads, comps
-
-
-def _expand_grid_to_unit(dag):
-    """Row expansion (R then L heads), then column expansion (D then U).
+def _expand_grid_to_unit(G):
+    """Row expansion (R then L heads), then column expansion (D then U), in
+    place. A direction's heads (``heads_by``: the in-degree-0 nodes of each
+    component, grid_parser.py:457-490) are taken before its first split. A
+    direction where no node branches is skipped: its traversals split
+    nothing, so they cannot change the graph.
 
     Parity: grid_parser.py:424-454 + :493-523 + :562-567.
     """
-    G = dag.copy()
     for out_dir in ("R", "L", "D", "U"):
-        for head in _cluster_heads_by_in_degree(G, out_dir)[0]:
-            G = _normalize_line(G, head, out_dir)
+        if G.branches_by(out_dir):
+            for head in G.heads_by(out_dir):
+                _normalize_line(G, head, out_dir)
     return G
 
 
 def _get_grid_from_dag(dag):
     """Row/col line clusters -> id matrix (grid_parser.py:570-608)."""
-    row_heads = sorted(
-        _cluster_heads_by_in_degree(dag, "R")[0], key=lambda n: dag.nodes[n]["bbox"][1]
-    )
-    col_heads = sorted(
-        _cluster_heads_by_in_degree(dag, "D")[0], key=lambda n: dag.nodes[n]["bbox"][0]
-    )
+    row_heads = sorted(dag.heads_by("R"), key=lambda n: dag.nodes[n]["bbox"][1])
+    col_heads = sorted(dag.heads_by("D"), key=lambda n: dag.nodes[n]["bbox"][0])
 
     col_sets = []
     for c_head in col_heads:
@@ -441,13 +411,14 @@ def _merge_same_column_values(grid, col_headers, cells):
     return new_grid, new_col_headers, cells
 
 
-def parse_grid_from_bottom_up(cells, clustered_nodes, merge_same_column_values=False):
-    """Full grid parse for one cluster (grid_parser.py:787-829)."""
-    dag = _expand_grid_to_unit(_get_grid_dag(clustered_nodes))
+def parse_grid_from_bottom_up(cells, clustered_nodes, adj, merge_same_column_values=False):
+    """Full grid parse for one cluster (grid_parser.py:787-829); ``adj`` is
+    the table's ``TableAdjacency``."""
+    dag = _expand_grid_to_unit(_get_grid_dag(clustered_nodes, adj))
 
     grid = _get_grid_from_dag(dag)
     if len(grid) == 0 or len(grid[0]) == 0:
-        return None, None, dag
+        return None, None
 
     is_header_row = [
         all(
@@ -476,5 +447,4 @@ def parse_grid_from_bottom_up(cells, clustered_nodes, merge_same_column_values=F
             col_headers=col_headers,
         ),
         cells,
-        dag,
     )

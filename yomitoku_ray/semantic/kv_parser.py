@@ -14,15 +14,9 @@ reference's per-role copies.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..kernels.geometry import (
     calc_overlap_ratio,
     is_contained,
-)
-from ..kernels.geometry_vec import (
-    bottom_adjacency_matrix,
-    right_adjacency_matrix,
 )
 from ..kernels.graph import LabeledDiGraph
 from .schemas import KvItem
@@ -87,16 +81,16 @@ def match_groups(nodes, groups) -> dict:
     return match
 
 
-def _wire_pairs(dag, sources, targets, group_of_src, group_of_tgt, pseudo_ok, adj):
+def _wire_pairs(dag, sources, targets, group_of_src, group_of_tgt, pseudo_ok, mats):
     """Add adjacency edges for same-group pairs.
 
     ``pseudo_ok``: also allow a pair when either side sits in the
     pseudo-group (the header-header rule, kv_parser.py:143-149).
-    ``adj``: (right_matrix, bottom_matrix, index) precomputed over ALL nodes
-    (kernels/geometry_vec, default-threshold soft rules — bit-identical to
-    the scalar is_right_adjacent/is_bottom_adjacent pair loop it replaced).
+    ``mats``: (right_matrix, bottom_matrix, index) over ALL nodes
+    (default-threshold soft rules, bit-identical to the scalar
+    is_right_adjacent / is_bottom_adjacent).
     """
-    rgt, bot, idx = adj
+    rgt, bot, idx = mats
     for src in sources:
         sg = group_of_src.get(src.id)
         if sg is None:
@@ -120,8 +114,12 @@ def _wire_pairs(dag, sources, targets, group_of_src, group_of_tgt, pseudo_ok, ad
                     dag.add_edge(tgt.id, src.id, dir="U")
 
 
-def get_kv_items_dag(nodes, groups):
-    """Build the within-group adjacency DAG. Parity: kv_parser.py:199-229."""
+def get_kv_items_dag(nodes, groups, adj):
+    """Build the within-group adjacency DAG. Parity: kv_parser.py:199-229.
+
+    Adjacency is the default-threshold soft-rule slice of the table's
+    ``TableAdjacency`` ``adj``.
+    """
     match = match_groups(nodes, groups)
     dag = LabeledDiGraph()
     all_nodes = nodes["header"] + nodes["cell"] + nodes["empty"]
@@ -129,21 +127,14 @@ def get_kv_items_dag(nodes, groups):
         dag.add_node(
             node.id, id=node.id, bbox=node.box, role=node.role, contents=node.contents
         )
-    if all_nodes:
-        boxes = np.asarray([n.box for n in all_nodes], dtype=np.float64)
-        adj = (
-            right_adjacency_matrix(boxes, boxes),
-            bottom_adjacency_matrix(boxes, boxes),
-            {id(n): i for i, n in enumerate(all_nodes)},
-        )
-    else:
-        adj = (None, None, {})
+    rgt, bot = adj.sub(all_nodes, all_nodes, "right_soft", "bottom_soft")
+    mats = (rgt, bot, {id(n): i for i, n in enumerate(all_nodes)})
     h2g = match["header_to_group"]
     c2g = match["cell_to_group"]
-    _wire_pairs(dag, nodes["header"], nodes["cell"], h2g, c2g, False, adj)
-    _wire_pairs(dag, nodes["header"], nodes["empty"], h2g, c2g, False, adj)
-    _wire_pairs(dag, nodes["header"], nodes["header"], h2g, h2g, True, adj)
-    _wire_pairs(dag, nodes["cell"], nodes["cell"], c2g, c2g, False, adj)
+    _wire_pairs(dag, nodes["header"], nodes["cell"], h2g, c2g, False, mats)
+    _wire_pairs(dag, nodes["header"], nodes["empty"], h2g, c2g, False, mats)
+    _wire_pairs(dag, nodes["header"], nodes["header"], h2g, h2g, True, mats)
+    _wire_pairs(dag, nodes["cell"], nodes["cell"], c2g, c2g, False, mats)
     return dag
 
 
@@ -196,13 +187,13 @@ def _collect(dag, node_id, key_path, sink, cells, used, direction):
         _collect(dag, nxt, deeper, sink, cells, used, direction)
 
 
-def parse_kv_items(clustered_nodes, nodes, cells):
+def parse_kv_items(clustered_nodes, nodes, cells, adj):
     """Per-cluster direction vote + DFS key-path collection.
 
     Parity: kv_parser.py:293-345 (losing direction's edges removed from the
     cluster; unreached cells become keyless items).
     """
-    dag = get_kv_items_dag(clustered_nodes, nodes["group"])
+    dag = get_kv_items_dag(clustered_nodes, nodes["group"], adj)
 
     kv_items = []
     kv_cells = {}
@@ -237,4 +228,4 @@ def parse_kv_items(clustered_nodes, nodes, cells):
             kv_items.append(KvItem(id=None, key=[], value=cell.id, box=cell.box))
             kv_cells[cell.id] = cells[cell.id]
 
-    return kv_items, dag, kv_cells
+    return kv_items, kv_cells

@@ -14,12 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels.geometry import quad_to_xyxy
-from ..kernels.geometry_vec import (
-    bottom_adjacency_matrix,
-    right_adjacency_matrix,
-)
-from ..kernels.graph import LabeledDiGraph
+from ..kernels.geometry_vec import AdjacencyPlanes
 from ..kernels.reading_order import prediction_reading_order
+from ..kernels.union_find import UnionFind
 from ..models import Paragraph
 from .grid_parser import parse_grid_from_bottom_up
 from .kv_parser import parse_kv_items
@@ -40,136 +37,109 @@ def _split_nodes_with_role(cells):
     return nodes
 
 
-def get_cell_by_id(cells, cell_id):
-    for cell in cells:
-        if cell.id == cell_id:
-            return cell
-    return None
+class TableAdjacency:
+    """Every adjacency rule the parsers use, over one table's value cells,
+    from one kernels/geometry_vec.AdjacencyPlanes evaluation.
+
+    Each consumer's cell sets are subsets of these cells and every rule
+    depends only on the two boxes of a pair, so each consumer's matrix is
+    exactly a submatrix: ``sub`` slices it by cell identity. Nothing
+    rewrites a ``cell.box`` while a table is parsed (the grid's split boxes
+    and merged cells are new objects).
+    """
+
+    # name -> (axis, rule, dist, overlap ratio, ignore dist). The weak
+    # clustering, is_grid_cluster and the KV DAG use the reference's
+    # defaults; the grid DAG uses soft adjacency at (20, 0.25, 10).
+    RULES = {
+        "right_soft": ("right", "soft", 15, 0.1, 10),
+        "right_hard": ("right", "hard", 15, 0.1, 10),
+        "bottom_soft": ("bottom", "soft", 15, 0.1, 10),
+        "bottom_hard": ("bottom", "hard", 15, 0.1, 10),
+        "bottom_nest": ("bottom", "nest", 15, 0.1, 10),
+        "bottom_child": ("bottom", "child", 15, 0.1, 10),
+        "grid_right": ("right", "soft", 20, 0.25, 10),
+        "grid_bottom": ("bottom", "soft", 20, 0.25, 10),
+    }
+
+    def __init__(self, cells):
+        self.row = {id(c): i for i, c in enumerate(cells)}
+        boxes = np.asarray([c.box for c in cells], dtype=np.float64).reshape(-1, 4)
+        self.planes = AdjacencyPlanes(boxes, boxes)
+
+    def sub(self, A, B, *rules):
+        """One (len(A), len(B)) bool matrix per rule name in ``rules``."""
+        ix = np.ix_([self.row[id(c)] for c in A], [self.row[id(c)] for c in B])
+        return [self.planes.matrix(*self.RULES[r])[ix] for r in rules]
 
 
-def _get_cluster_nodes(clusters, nodes):
-    """Parity: table_semantic_parser.py:65-81."""
+def _get_cluster_nodes(clusters):
+    """Role-split each cluster. Parity: table_semantic_parser.py:65-81.
+
+    The reference iterates each component as a raw set (:75), an order that
+    depends on PYTHONHASHSEED (each Ray worker has its own); nodes are taken
+    in id order here so every process emits the same bytes.
+    """
     clustered_nodes_list = []
     for cluster in clusters:
         clustered_nodes = {"header": [], "cell": [], "empty": []}
-        # components are sets: iterate sorted so output is independent of
-        # PYTHONHASHSEED (each Ray worker has its own) — the reference
-        # iterates the raw set (table_semantic_parser.py:75), which is
-        # nondeterministic across processes; a distributed engine can't be.
-        for id in sorted(cluster):
-            node = get_cell_by_id(nodes["header"] + nodes["cell"] + nodes["empty"], id)
+        for node in sorted(cluster, key=lambda c: c.id):
             clustered_nodes[node.role].append(node)
         clustered_nodes_list.append(clustered_nodes)
     return clustered_nodes_list
 
 
-def drop_single_out_edge_by_type(G, edge_type):
-    """Parity: table_semantic_parser.py:84-92."""
-    to_remove = []
-    for u in G.nodes:
-        outs = [(u, v) for v in G.succ_by(u, edge_type)]
-        if len(outs) == 1:
-            to_remove.append(outs[0])
-    G.remove_edges_from(to_remove)
-    return to_remove
+def _off_diagonal(m):
+    np.fill_diagonal(m, False)
+    return m
 
 
-def _weakly_cluster_nodes_with_graph(nodes):
-    """Heuristic adjacency DAG + weakly connected components.
+def _weakly_cluster_nodes(nodes, adj):
+    """Weakly connected components of the reference's heuristic adjacency
+    DAG (table_semantic_parser.py:84-187), as lists of nodes.
 
-    Parity: table_semantic_parser.py:101-187 — edge insertion order and
-    same-pair label overwrites match the reference's nested loops exactly;
-    the adjacency predicates themselves are evaluated as broadcasted
-    matrices (kernels/geometry_vec) instead of O(n^2) scalar calls.
+    Every edge rule is a slice of the table's ``TableAdjacency``; the
+    components come from union-find over the edge index pairs, with the
+    DAG's observable effects kept: a header-header pair whose last label is
+    'nest' (child is added after soft, so it wins) is dropped when it is the
+    header's only nest edge (:84-92); components are ordered by their first
+    node in insertion order (headers, then cells, then empties).
     """
-    dag = LabeledDiGraph()
-    for role in nodes:
-        for node in nodes[role]:
-            if role not in ["header", "cell", "empty"]:
-                continue
-            dag.add_node(node.id, bbox=node.box, role=node.role)
+    H, C, E = nodes["header"], nodes["cell"], nodes["empty"]
+    CE = C + E
+    order = H + CE
+    uf = UnionFind(len(order))
 
-    H = nodes["header"]
-    CE = nodes["cell"] + nodes["empty"]
-    E = nodes["empty"]
-    hb = np.asarray([h.box for h in H], dtype=np.float64) if H else None
-    ceb = np.asarray([c.box for c in CE], dtype=np.float64) if CE else None
+    def link(edges, row_off, col_off):
+        rows, cols = np.nonzero(edges)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            uf.union(i + row_off, j + col_off)
 
-    if H:
-        if CE:
-            hc_nest = bottom_adjacency_matrix(hb, ceb, rule="nest")
-            hc_soft = right_adjacency_matrix(hb, ceb, rule="soft")
-        hh_soft = right_adjacency_matrix(hb, hb, rule="soft")
-        hh_child = bottom_adjacency_matrix(hb, hb, rule="child")
-    for i, header in enumerate(H):
-        if CE:
-            for j in np.nonzero(hc_nest[i] | hc_soft[i])[0]:
-                cell = CE[j]
-                if hc_nest[i, j]:
-                    dag.add_edge(header.id, cell.id, dir="D")
-                if hc_soft[i, j]:
-                    dag.add_edge(header.id, cell.id, dir="D")
-        for j in np.nonzero(hh_soft[i] | hh_child[i])[0]:
-            header2 = H[j]
-            if header.id == header2.id:
-                continue
-            if hh_soft[i, j]:
-                dag.add_edge(header.id, header2.id, dir="D")
-            if hh_child[i, j]:
-                dag.add_edge(header.id, header2.id, dir="nest")
-
-    drop_single_out_edge_by_type(dag, edge_type="nest")
-    dag.relabel_edges("nest", "D")
-
-    if CE:
-        cc_soft = right_adjacency_matrix(ceb, ceb, rule="soft")
-        cc_hard = bottom_adjacency_matrix(ceb, ceb, rule="hard")
-        for i, cell1 in enumerate(CE):
-            for j in np.nonzero(cc_soft[i] | cc_hard[i])[0]:
-                cell2 = CE[j]
-                if cell1.id == cell2.id:
-                    continue
-                if cc_soft[i, j]:
-                    dag.add_edge(cell1.id, cell2.id, dir="D")
-                if cc_hard[i, j]:
-                    dag.add_edge(cell1.id, cell2.id, dir="D")
-
-    if E and H:
-        eb = np.asarray([e.box for e in E], dtype=np.float64)
-        eh_bot = bottom_adjacency_matrix(eb, hb, rule="hard")
-        eh_rgt = right_adjacency_matrix(eb, hb, rule="hard")
-        for i, empty in enumerate(E):
-            for j in np.nonzero(eh_bot[i] | eh_rgt[i])[0]:
-                header = H[j]
-                if eh_bot[i, j]:
-                    dag.add_edge(empty.id, header.id, dir="D")
-                if eh_rgt[i, j]:
-                    dag.add_edge(empty.id, header.id, dir="D")
-
-    return list(dag.weakly_connected_components()), dag
+    nh = len(H)
+    nest, soft = adj.sub(H, CE, "bottom_nest", "right_soft")
+    link(nest | soft, 0, nh)
+    soft, child = (_off_diagonal(m) for m in adj.sub(H, H, "right_soft", "bottom_child"))
+    single = child.sum(axis=1, keepdims=True) == 1
+    link((soft | child) & ~(child & single), 0, 0)
+    soft, hard = adj.sub(CE, CE, "right_soft", "bottom_hard")
+    link(_off_diagonal(soft | hard), nh, nh)
+    bot, rgt = adj.sub(E, H, "bottom_hard", "right_hard")
+    link(bot | rgt, nh + len(C), 0)
+    return [[order[i] for i in group] for group in uf.groups()]
 
 
-def _count_edge_components(pairs):
-    """Connected-component count over ONLY the nodes incident to ``pairs``
-    (the nx.Graph(edge_list) semantics: isolates excluded)."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in pairs:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(u) for u in parent})
+def _count_edge_components(edges):
+    """Connected-component count over ONLY the nodes incident to an edge of
+    the boolean matrix (the nx.Graph(edge_list) semantics: isolates
+    excluded)."""
+    rows, cols = np.nonzero(edges)
+    uf = UnionFind(len(edges))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        uf.union(i, j)
+    return len({uf.find(i) for i in rows.tolist() + cols.tolist()})
 
 
-def is_grid_cluster(nodes):
+def is_grid_cluster(nodes, adj):
     """Parity: table_semantic_parser.py:190-224.
 
     The reference builds a DiGraph where a later right-hard edge OVERWRITES
@@ -179,24 +149,8 @@ def is_grid_cluster(nodes):
     CE = nodes["cell"] + nodes["empty"]
     if not CE:
         return False
-    boxes = np.asarray([c.box for c in CE], dtype=np.float64)
-    bot = bottom_adjacency_matrix(boxes, boxes, rule="hard")
-    rgt = right_adjacency_matrix(boxes, boxes, rule="hard")
-    np.fill_diagonal(bot, False)
-    np.fill_diagonal(rgt, False)
-    ids = [c.id for c in CE]
-    # same-id (not just same-index) pairs are skipped, as in the reference
-    if len(set(ids)) != len(ids):
-        for i in range(len(ids)):
-            for j in range(len(ids)):
-                if i != j and ids[i] == ids[j]:
-                    bot[i, j] = rgt[i, j] = False
-
-    v_pairs = [
-        (ids[i], ids[j]) for i, j in zip(*np.nonzero(bot & ~rgt))
-    ]
-    h_pairs = [(ids[i], ids[j]) for i, j in zip(*np.nonzero(rgt))]
-    return _count_edge_components(h_pairs) > 1 and _count_edge_components(v_pairs) > 1
+    rgt, bot = (_off_diagonal(m) for m in adj.sub(CE, CE, "right_hard", "bottom_hard"))
+    return _count_edge_components(rgt) > 1 and _count_edge_components(bot & ~rgt) > 1
 
 
 def sort_cells(cells, offset=0):
@@ -387,6 +341,9 @@ def parse_semantic_tables(
     cell_offset = 0
     for i, table in enumerate(semantic_tables):
         cells = {cell.id: cell for cell in table["cells"]}
+        # The parsers key their graphs by cell id. The page's cell detector
+        # numbers cells from one page-wide counter, so ids never repeat.
+        assert len(cells) == len(table["cells"]), "cell ids repeat within a table"
 
         table_information = {
             "id": f"t{i}",
@@ -398,23 +355,23 @@ def parse_semantic_tables(
         }
 
         nodes = _split_nodes_with_role(table["cells"])
+        adj = TableAdjacency(nodes["header"] + nodes["cell"] + nodes["empty"])
         if not grid_only:
-            clusters, dag = _weakly_cluster_nodes_with_graph(nodes)
-            cluster_nodes_list = _get_cluster_nodes(clusters, nodes)
+            cluster_nodes_list = _get_cluster_nodes(_weakly_cluster_nodes(nodes, adj))
         else:
             cluster_nodes_list = [nodes]
 
         for clustered_nodes in cluster_nodes_list:
-            if not kv_only and is_grid_cluster(clustered_nodes):
-                grid, grid_cells, dag = parse_grid_from_bottom_up(
-                    cells, clustered_nodes, merge_same_column_values
+            if not kv_only and is_grid_cluster(clustered_nodes, adj):
+                grid, grid_cells = parse_grid_from_bottom_up(
+                    cells, clustered_nodes, adj, merge_same_column_values
                 )
                 if grid is None:
                     continue
                 table_information["grids"].append(grid)
                 table_information["cells"].update(grid_cells)
             else:
-                kv_items, dag, kv_cells = parse_kv_items(clustered_nodes, nodes, cells)
+                kv_items, kv_cells = parse_kv_items(clustered_nodes, nodes, cells, adj)
                 table_information["kv_items"].extend(kv_items)
                 table_information["cells"].update(kv_cells)
 
