@@ -10,6 +10,7 @@ import pytest
 
 from yomitoku_ray.pipelines.extract import ExtractConfig
 from yomitoku_ray.export.wet import _ts_us_of
+from yomitoku_ray.sources.warc import write_warc_file
 from yomitoku_ray.state.checkpoint import completed_input_files, run_resumable
 from yomitoku_ray.synth.pages import generate_pages_table
 
@@ -30,6 +31,20 @@ def pages_dir(tmp_path_factory):
 
 def _cfg():
     return ExtractConfig(detect_concurrency=2, detect_batch_size=16)
+
+
+def _write_warc(table, path):
+    """Write a pages table as a CC-layout ``.warc.gz`` shard."""
+    rows = [
+        {
+            "url": r["url"],
+            "warc_ts": _ts_us_of(r["warc_ts"]),
+            "html": r["html"],
+            "lang": r["lang"],
+        }
+        for r in table.to_pylist()
+    ]
+    write_warc_file(rows, str(path))
 
 
 def test_interrupted_run_resumes(ray_session, pages_dir, tmp_path):
@@ -267,23 +282,11 @@ def test_resumable_warc_shards(ray_session, tmp_path):
     """WARC shards are first-class checkpoint units: kill after one wave,
     resume skips committed shards, rows exactly-once, byte parity with the
     parquet path."""
-    from yomitoku_ray.sources.warc import write_warc_file
-
     d = tmp_path / "warcs"
     d.mkdir()
     per = 20
     for i in range(4):
-        t = generate_pages_table(per, start=i * per)
-        rows = [
-            {
-                "url": r["url"],
-                "warc_ts": _ts_us_of(r["warc_ts"]),
-                "html": r["html"],
-                "lang": r["lang"],
-            }
-            for r in t.to_pylist()
-        ]
-        write_warc_file(rows, str(d / f"shard-{i:05d}.warc.gz"))
+        _write_warc(generate_pages_table(per, start=i * per), d / f"shard-{i:05d}.warc.gz")
 
     out = str(tmp_path / "out")
     s1 = run_resumable(str(d), out, _cfg(), wave_files=2, max_waves=1)
@@ -315,23 +318,11 @@ def test_mixed_parquet_and_warc_directory(ray_session, tmp_path):
     """A directory holding BOTH parquet and WARC inputs must route each
     file to its reader inside a wave (ADVICE r4: mixed chunks fell back to
     the parquet reader and failed on the .warc members)."""
-    from yomitoku_ray.sources.warc import write_warc_file
-
     d = tmp_path / "mixed"
     d.mkdir()
     per = 20
     pq.write_table(generate_pages_table(per, start=0), str(d / "part-00000.parquet"))
-    t = generate_pages_table(per, start=per)
-    rows = [
-        {
-            "url": r["url"],
-            "warc_ts": _ts_us_of(r["warc_ts"]),
-            "html": r["html"],
-            "lang": r["lang"],
-        }
-        for r in t.to_pylist()
-    ]
-    write_warc_file(rows, str(d / "shard-00000.warc.gz"))
+    _write_warc(generate_pages_table(per, start=per), d / "shard-00000.warc.gz")
 
     out = str(tmp_path / "out")
     # wave_files=2 forces ONE chunk holding both formats
@@ -342,22 +333,165 @@ def test_mixed_parquet_and_warc_directory(ray_session, tmp_path):
     assert len(urls) == 2 * per and len(set(urls)) == 2 * per
 
 
-def test_waves_release_their_cpus_on_return(ray_session, pages_dir, tmp_path):
-    """Each wave's actors give their CPUs back by the time run_resumable
-    returns: no waiting for a garbage collection that the caller would
-    have to trigger. Three back-to-back calls, one CPU per actor."""
+def _wait_for_free_cpus(what):
+    """Every session CPU is free within 2 s, with no ``gc`` call here."""
     import time as _time
 
     import ray
 
     total = ray.cluster_resources()["CPU"]
+    deadline = _time.monotonic() + 2.0
+    while ray.available_resources().get("CPU", 0.0) < total:
+        assert _time.monotonic() < deadline, (
+            f"{what}: {ray.available_resources().get('CPU', 0.0)} of "
+            f"{total} CPUs free 2 s after run_resumable returned"
+        )
+        _time.sleep(0.1)
+
+
+def test_waves_release_their_cpus_on_return(ray_session, pages_dir, tmp_path):
+    """Each wave's actors give their CPUs back by the time run_resumable
+    returns: no waiting for a garbage collection that the caller would
+    have to trigger. Three back-to-back calls, one CPU per actor."""
     cfg = ExtractConfig(detect_concurrency=1, detect_batch_size=16)
     for k in range(3):
         run_resumable(pages_dir, str(tmp_path / f"out{k}"), cfg, wave_files=2, max_waves=2)
-        deadline = _time.monotonic() + 2.0
-        while ray.available_resources().get("CPU", 0.0) < total:
-            assert _time.monotonic() < deadline, (
-                f"call {k}: {ray.available_resources().get('CPU', 0.0)} of "
-                f"{total} CPUs free 2 s after run_resumable returned"
-            )
-            _time.sleep(0.1)
+        _wait_for_free_cpus(f"call {k}")
+
+
+def _urls_per_wave(out):
+    """{wave name: urls of the rows in its committed data dir}."""
+    return {
+        os.path.basename(d): pads.dataset(d).to_table(columns=["url"]).column("url").to_pylist()
+        for d in glob.glob(os.path.join(out, "data", "wave-*"))
+    }
+
+
+def test_manifest_metrics_equal_a_reread(ray_session, pages_dir, tmp_path):
+    """Manifest metrics come from the write tasks' stats rows, not from a
+    re-read; they must still equal what a re-read of each wave finds."""
+    out = str(tmp_path / "out")
+    s = run_resumable(pages_dir, out, _cfg(), wave_files=2)
+    assert s["complete"] and s["waves_run"] == 3 and s["rows_written"] == N
+    manifests = [json.load(open(p)) for p in glob.glob(os.path.join(out, "manifest", "*.json"))]
+    assert len(manifests) == 3
+    n_errors = 0
+    for m in manifests:
+        data_dir = os.path.join(out, "data", m["wave"])
+        t = pads.dataset(data_dir).to_table(columns=["error", "truncated"])
+        files = glob.glob(os.path.join(data_dir, "*"))
+        assert m["row_count"] == t.num_rows == 40
+        assert m["n_error_rows"] == t.num_rows - t.column("error").null_count
+        assert m["n_truncated_rows"] == sum(bool(v) for v in t.column("truncated").to_pylist())
+        assert m["output_bytes"] == sum(os.path.getsize(f) for f in files)
+        assert m["wall_sec"] > 0 and "stage_stats" not in m
+        n_errors += m["n_error_rows"]
+    assert n_errors > 0  # the synthetic pages include malformed ones
+    # one Dataset per call: a wave's wall runs from its start, so the
+    # waves, committed in input order, show non-decreasing walls
+    walls = [m["wall_sec"] for m in sorted(manifests, key=lambda m: m["input_files"])]
+    assert walls == sorted(walls)
+
+
+def test_failed_call_releases_its_claims(ray_session, tmp_path):
+    """A Dataset that raises leaves no claim and no tmp dir behind, so a
+    retry in the SAME process (its own pid never reads as dead) does the
+    remaining work at once instead of waiting out the lease."""
+    d = tmp_path / "warcs"
+    d.mkdir()
+    per = 10
+    for i in (0, 2, 3):
+        _write_warc(generate_pages_table(per, start=i * per), d / f"shard-{i:05d}.warc.gz")
+    bad = d / "shard-00001.warc.gz"
+    bad.write_bytes(b"this is not a gzip member\n" * 8)
+
+    out = str(tmp_path / "out")
+    with pytest.raises(Exception):
+        run_resumable(str(d), out, _cfg(), wave_files=1)
+    _wait_for_free_cpus("failed call")  # the retry need not wait for them
+    assert not glob.glob(os.path.join(out, "claims", "*.claim"))
+    assert not glob.glob(os.path.join(out, "data", "*.tmp-*"))
+
+    bad.unlink()
+    s = run_resumable(str(d), out, _cfg(), wave_files=1)
+    assert s["complete"]
+    urls = [u for v in _urls_per_wave(out).values() for u in v]
+    assert len(urls) == 3 * per and len(set(urls)) == 3 * per
+
+
+def test_waves_commit_while_the_stream_runs(ray_session, pages_dir, tmp_path, monkeypatch):
+    """One call, six single-file waves, the driver interrupted in its second
+    commit: the first wave stays committed with its manifest, the claims
+    still held had their lease renewed by that first commit, and a resume
+    skips the committed wave, clears the torn one and finishes exactly once.
+    The process-wide DataContext keeps its ordering setting throughout."""
+    import time as _time
+
+    import ray.data
+
+    from yomitoku_ray.state import checkpoint
+
+    preserve_order = ray.data.DataContext.get_current().execution_options.preserve_order
+    out = str(tmp_path / "out")
+    real_commit = checkpoint._commit_wave
+    first_commit_at = []
+
+    def commit_then_die(out_root, wave, wall_sec):
+        if not first_commit_at:
+            first_commit_at.append(_time.time())
+            return real_commit(out_root, wave, wall_sec)
+        claims = glob.glob(os.path.join(out_root, "claims", "*.claim"))
+        assert len(claims) == 5  # this wave's and the four after it
+        for claim in claims:
+            assert os.path.getmtime(claim) >= first_commit_at[0], claim
+        # die between the data-dir replace and the manifest: a torn wave
+        os.replace(wave.tmp_dir, os.path.join(out_root, "data", wave.name))
+        raise RuntimeError("driver killed mid-commit")
+
+    monkeypatch.setattr(checkpoint, "_commit_wave", commit_then_die)
+    with pytest.raises(RuntimeError, match="killed mid-commit"):
+        run_resumable(pages_dir, out, _cfg(), wave_files=1)
+    monkeypatch.undo()
+    assert ray.data.DataContext.get_current().execution_options.preserve_order == preserve_order
+
+    files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
+    assert completed_input_files(out) == {files[0]}
+    assert len(glob.glob(os.path.join(out, "manifest", "*.json"))) == 1
+    assert len(glob.glob(os.path.join(out, "data", "wave-*"))) == 2  # committed + torn
+    assert not glob.glob(os.path.join(out, "claims", "*.claim"))
+
+    s = run_resumable(pages_dir, out, _cfg(), wave_files=1)
+    assert s["input_files_skipped"] == 1 and s["waves_run"] == 5 and s["complete"]
+    assert ray.data.DataContext.get_current().execution_options.preserve_order == preserve_order
+    per_wave = _urls_per_wave(out)
+    assert len(per_wave) == FILES
+    urls = [u for v in per_wave.values() for u in v]
+    assert len(urls) == N and len(set(urls)) == N
+
+
+def test_relative_path_mixed_directory_rows_land_in_their_files_wave(
+    ray_session, tmp_path, monkeypatch
+):
+    """A relative ``pages_path`` over interleaved parquet and WARC files:
+    the rows' ``path`` column must map back to ``_list_input_files``'
+    names, so every row is committed in the wave of its own file."""
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("mixed")
+    per = 10
+    urls_of = {}
+    for i, name in enumerate(["a.parquet", "b.warc.gz", "c.parquet", "d.warc.gz"]):
+        t = generate_pages_table(per, start=i * per)
+        path = os.path.join("mixed", name)
+        if name.endswith(".parquet"):
+            pq.write_table(t, path)
+        else:
+            _write_warc(t, path)
+        urls_of[path] = sorted(t.column("url").to_pylist())
+
+    s = run_resumable("mixed", "out", _cfg(), wave_files=1)
+    assert s["complete"] and s["waves_run"] == 4 and s["rows_written"] == 4 * per
+    per_wave = _urls_per_wave("out")
+    for p in glob.glob(os.path.join("out", "manifest", "*.json")):
+        m = json.load(open(p))
+        (src,) = m["input_files"]
+        assert sorted(per_wave[m["wave"]]) == urls_of[src], src

@@ -227,8 +227,10 @@ def main(argv=None):
     p = sub.add_parser("extract", help="full extraction pipeline")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--resumable", action="store_true")
-    p.add_argument("--wave-files", type=int, default=4)
+    p.add_argument("--resumable", action="store_true",
+                   help="checkpointed waves: one Dataset per call, one commit per wave")
+    p.add_argument("--wave-files", type=int, default=4,
+                   help="input files per wave, the unit of commit and resume")
     p.add_argument("--ignore-ruby", action="store_true")
     p.add_argument("--ignore-meta", action="store_true")
     p.add_argument("--reading-order", default="auto",
@@ -261,8 +263,10 @@ def main(argv=None):
     p.add_argument("--wet", action="store_true", help="write CC WET instead of parquet")
     p.add_argument("--wat", metavar="DIR", help="also write CC WAT metadata shards to DIR")
     p.add_argument("--resumable", action="store_true",
-                   help="checkpointed per-shard waves (input = directory of WARCs)")
-    p.add_argument("--wave-files", type=int, default=4)
+                   help="checkpointed waves of shards (input = directory of WARCs): "
+                        "one Dataset per call, one commit per wave")
+    p.add_argument("--wave-files", type=int, default=4,
+                   help="input files per wave, the unit of commit and resume")
     p.set_defaults(fn=cmd_crawl)
 
     p = sub.add_parser("cdx", help="build a CDX-style parquet index for WARC shard(s)")

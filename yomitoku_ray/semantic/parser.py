@@ -314,8 +314,6 @@ def parse_semantic_tables(
     words,
     paragraphs,
     merge_same_column_values=False,
-    grid_only=False,
-    kv_only=False,
 ) -> SemanticDocument:
     """Per-page semantic parse. Parity: table_semantic_parser.py:624-741.
 
@@ -356,13 +354,8 @@ def parse_semantic_tables(
 
         nodes = _split_nodes_with_role(table["cells"])
         adj = TableAdjacency(nodes["header"] + nodes["cell"] + nodes["empty"])
-        if not grid_only:
-            cluster_nodes_list = _get_cluster_nodes(_weakly_cluster_nodes(nodes, adj))
-        else:
-            cluster_nodes_list = [nodes]
-
-        for clustered_nodes in cluster_nodes_list:
-            if not kv_only and is_grid_cluster(clustered_nodes, adj):
+        for clustered_nodes in _get_cluster_nodes(_weakly_cluster_nodes(nodes, adj)):
+            if is_grid_cluster(clustered_nodes, adj):
                 grid, grid_cells = parse_grid_from_bottom_up(
                     cells, clustered_nodes, adj, merge_same_column_values
                 )

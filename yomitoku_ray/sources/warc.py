@@ -34,6 +34,10 @@ from typing import Iterator
 
 import pyarrow as pa
 
+# ``read_warc``'s default record cap: a larger record becomes an error row
+# (see ``iter_warc_records``).
+MAX_RECORD_BYTES = 64 << 20
+
 # Output schema: the extract pipeline's input columns (PAGES_COLUMNS) plus
 # provenance. ``lang`` comes from the HTTP Content-Language header when the
 # response carries one (Common Crawl's own language column is computed
@@ -277,7 +281,7 @@ def read_warc(
     *,
     batch_rows: int = 256,
     on_error: str = "raise",
-    max_record_bytes: int = 64 << 20,
+    max_record_bytes: int = MAX_RECORD_BYTES,
     **kwargs,
 ):
     """``ray.data`` Dataset of pages-table rows from WARC file(s).

@@ -80,7 +80,11 @@ def extract_document(
 
 
 class FusedExtractStage:
-    """``extract_document`` per row, one actor pool, Arrow in/out."""
+    """``extract_document`` per row, one actor pool, Arrow in/out.
+
+    A ``path`` column in the input (a reader's ``include_paths``) is passed
+    through after the ``RESULT_SCHEMA`` columns, so a downstream writer can
+    route each row by its source file."""
 
     def __init__(
         self,
@@ -120,6 +124,9 @@ class FusedExtractStage:
         for f in RESULT_SCHEMA:
             if f.name not in cols:
                 cols[f.name] = pa.array(out[f.name], f.type)
-        return pa.Table.from_arrays(
+        table = pa.Table.from_arrays(
             [cols[f.name] for f in RESULT_SCHEMA], schema=RESULT_SCHEMA
         )
+        if "path" in batch.column_names:
+            table = table.append_column("path", batch.column("path"))
+        return table

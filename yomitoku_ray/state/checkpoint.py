@@ -1,40 +1,51 @@
-"""Checkpointed, resumable pipeline runs (per-partition lineage + metrics).
+"""Checkpointed, resumable pipeline runs (per-wave lineage + metrics).
 
 The reference has no checkpointing (a re-run overwrites per-page output
 files, cli/main.py:140-143); the north rule requires a killed
 ``ray job submit`` run to resume from the last committed partition. Design:
 
 - the unit of commit is a **wave**: a deterministic chunk of the sorted
-  input file list. Each wave runs the full extraction pipeline as one
-  streaming Dataset execution and writes to ``data/wave-<k>.tmp`` ->
-  atomic ``os.replace`` to ``data/wave-<k>`` -> manifest JSON written
-  tmp+rename. A kill loses at most the in-flight wave.
-- the manifest row carries lineage (input files + sizes, engine version,
-  config echo) and metrics (row count, ok/error/truncated counts, output
-  bytes, wall seconds) — the per-partition "lineage + row-count/byte-count
-  metrics" of the north rule.
+  input file list. A wave is a commit boundary, not an execution one: each
+  ``run_resumable`` call claims its waves, then runs ONE streaming
+  extraction Dataset over all of their files, so the actor pool starts once
+  per call. Rows carry their source file (``include_paths``); a write task
+  puts each block's rows, split by file, as parquet parts into their wave's
+  ``data/wave-<k>.tmp-*`` dir and returns one stats row per part. The
+  driver reads those stats in input order and commits a wave as soon as
+  the stream has moved past its files (or ends): atomic ``os.replace`` to
+  ``data/wave-<k>`` -> manifest JSON written tmp+rename -> claim released.
+  A kill loses only the waves not yet committed.
+- the manifest row carries lineage (input files + sizes, engine version)
+  and metrics (row count, error/truncated counts, output bytes, and wall
+  seconds from the Dataset's start to the wave's commit), summed from the
+  write tasks' stats rows; nothing is read back from disk.
 - resume = list manifests, subtract their input files from the input
   listing, process the remainder. Input files already covered are never
   re-read (skip happens at the read, not after).
 - **concurrent resume is safe**: waves are named by the content hash of
   their input-file chunk, and a driver must win an O_EXCL claim file
-  before processing a chunk. A second driver racing the same out_root
-  skips live-claimed chunks (taking the next unclaimed work instead),
-  re-claims only stale claims (lease expiry = a dead driver), writes to a
-  per-process tmp dir, and commits via ``os.replace`` — if another driver
-  already committed the same wave, the non-empty destination makes the
-  replace fail and the loser discards its tmp. Every input file lands in
-  exactly one manifest; no double-writes (tests/test_checkpoint.py races
-  two drivers to prove it).
+  before processing a chunk. A call claims all of its waves up front and
+  refreshes the lease of its remaining claims at every commit, so a second
+  driver started at the same time finds the first driver's waves claimed
+  and returns ``complete=False`` instead of sharing them. It re-claims only
+  stale claims (lease expiry, or a dead pid on this host = a dead driver),
+  writes to a per-process tmp dir, and commits via ``os.replace`` — if
+  another driver already committed the same wave, the non-empty
+  destination makes the replace fail and the loser discards its tmp. Every
+  input file lands in exactly one manifest; no double-writes
+  (tests/test_checkpoint.py races two drivers to prove it).
+- a call whose Dataset raises removes the claims and tmp dirs of its
+  uncommitted waves before the error propagates, so a retry in the same
+  process (whose own pid never reads as dead) can take them at once.
 
-At cluster scale the wave size trades resume granularity against scheduling
-overhead; within a wave the streaming executor distributes blocks across
-the cluster, so a wave is NOT a parallelism boundary — only a commit
-boundary.
+At cluster scale the wave size trades resume granularity against manifest
+count only; the streaming executor distributes blocks across the cluster
+regardless of wave boundaries.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import glob
 import hashlib
@@ -44,11 +55,16 @@ import shutil
 import socket
 import time
 import uuid
+from dataclasses import dataclass, field
 
-import pyarrow.dataset as pads
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray.data
 
 from .. import __version__
-from ..pipelines.extract import ExtractConfig, build_extract_pipeline, read_pages
+from ..pipelines.extract import PAGES_COLUMNS, ExtractConfig, build_extract_pipeline
+from ..sources.warc import MAX_RECORD_BYTES, WarcDatasource
 
 
 def _list_input_files(pages_path: str) -> list[str]:
@@ -62,28 +78,31 @@ def _list_input_files(pages_path: str) -> list[str]:
     return [pages_path]
 
 
-def _read_chunk(chunk: list[str]):
-    """Pages Dataset for one wave's input files — parquet or WARC shards
-    (the checkpoint unit is the input FILE either way, so a resumed crawl
-    skips whole committed WARC shards exactly like committed parquet).
+def _is_warc(path: str) -> bool:
+    return path.endswith((".warc", ".warc.gz"))
 
-    A directory mixing both formats yields mixed chunks; each format goes
-    to ITS reader and the two sides union (an all-warc test would feed
-    .warc files to the parquet reader and fail the wave otherwise)."""
-    warc = [p for p in chunk if p.endswith((".warc", ".warc.gz"))]
-    other = [p for p in chunk if not p.endswith((".warc", ".warc.gz"))]
-    parts = []
-    if warc:
-        from ..pipelines.extract import PAGES_COLUMNS
-        from ..sources.warc import read_warc
 
-        parts.append(read_warc(warc).select_columns(list(PAGES_COLUMNS)))
-    if other:
-        parts.append(read_pages(other))
-    out = parts[0]
-    for extra in parts[1:]:
-        out = out.union(extra)
-    return out
+class _PagesFileDatasource(WarcDatasource):
+    """Pages rows from WARC and pages-parquet files in ONE read, file after
+    file in list order (the checkpoint unit is the input FILE either way, so
+    a resumed crawl skips whole committed WARC shards exactly like committed
+    parquet). A union of ``read_warc`` and ``read_parquet`` would not do:
+    under ``preserve_order`` it holds every block until both reads finish,
+    and it streams the WARC files before the parquet ones, out of wave
+    order."""
+
+    def _open_input_source(self, filesystem, path, **open_args):
+        if _is_warc(path):
+            return super()._open_input_source(filesystem, path, **open_args)
+        return filesystem.open_input_file(path)
+
+    def _read_stream(self, f, path: str):
+        if _is_warc(path):
+            for block in super()._read_stream(f, path):
+                yield block.select(PAGES_COLUMNS)
+            return
+        for batch in pq.ParquetFile(f).iter_batches(self._batch_rows, columns=PAGES_COLUMNS):
+            yield pa.Table.from_batches([batch])
 
 
 def _manifest_dir(out_root: str) -> str:
@@ -104,23 +123,12 @@ def completed_input_files(out_root: str) -> set[str]:
     return done
 
 
-def _out_stats(data_dir: str) -> tuple[int, int, dict]:
-    ds = pads.dataset(data_dir)
-    rows = 0
-    n_err = 0
-    n_trunc = 0
-    for batch in ds.to_batches(columns=["error", "truncated"]):
-        rows += batch.num_rows
-        n_err += batch.column("error").is_valid().sum().as_py() if batch.num_rows else 0
-        n_trunc += sum(1 for v in batch.column("truncated").to_pylist() if v)
-    nbytes = sum(
-        os.path.getsize(p) for p in glob.glob(os.path.join(data_dir, "*.parquet"))
-    )
-    return rows, nbytes, {"n_error_rows": n_err, "n_truncated_rows": n_trunc}
-
-
 def _claims_dir(out_root: str) -> str:
     return os.path.join(out_root, "claims")
+
+
+def _claim_path(out_root: str, wave_name: str) -> str:
+    return os.path.join(_claims_dir(out_root), wave_name + ".claim")
 
 
 def _wave_name(chunk: list[str]) -> str:
@@ -190,7 +198,7 @@ def _try_claim(out_root: str, wave_name: str, chunk: list[str], lease_sec: float
     racing drivers exactly one rename succeeds, so only one contender
     proceeds to recreate the claim (the unlink-based break let two drivers
     both own the wave when B unlinked A's freshly recreated claim)."""
-    path = os.path.join(_claims_dir(out_root), wave_name + ".claim")
+    path = _claim_path(out_root, wave_name)
     body = json.dumps(
         {
             "input_files": chunk,
@@ -221,6 +229,234 @@ def _try_claim(out_root: str, wave_name: str, chunk: list[str], lease_sec: float
     return False
 
 
+@dataclass(eq=False)
+class _Wave:
+    """A claimed wave of this call: its tmp dir and its parts' stats so far."""
+
+    name: str
+    files: list[str]
+    tmp_dir: str
+    parts: list[str] = field(default_factory=list)
+    row_count: int = 0
+    output_bytes: int = 0
+    n_error_rows: int = 0
+    n_truncated_rows: int = 0
+
+    def add(self, part: dict) -> None:
+        self.parts.append(part["file"])
+        self.row_count += part["rows"]
+        self.output_bytes += part["bytes"]
+        self.n_error_rows += part["n_error_rows"]
+        self.n_truncated_rows += part["n_truncated_rows"]
+
+
+def _claim_waves(
+    out_root: str,
+    todo: list[str],
+    wave_files: int,
+    budget: int | None,
+    lease_sec: float,
+    blocked_until: dict[str, float],
+) -> tuple[list[_Wave], bool]:
+    """Claim up to ``budget`` (None = no limit) chunks of ``todo`` in order.
+
+    Returns the won waves and whether any claim was lost. A lost chunk is
+    backed off by name (content-hashed, so stable across re-lists) for a
+    second: a fresh but unparseable claim keeps its files in todo, and the
+    run loop must not retry it in a tight loop."""
+    waves: list[_Wave] = []
+    lost = False
+    now = time.time()
+    for start in range(0, len(todo), wave_files):
+        if budget is not None and len(waves) >= budget:
+            break
+        chunk = todo[start : start + wave_files]
+        name = _wave_name(chunk)
+        if blocked_until.get(name, 0.0) > now:
+            continue
+        if not _try_claim(out_root, name, chunk, lease_sec):
+            blocked_until[name] = now + 1.0
+            lost = True
+        elif os.path.exists(os.path.join(_manifest_dir(out_root), name + ".json")):
+            # Another driver committed it after our listing (a committer
+            # writes the manifest before it releases the claim we just won).
+            os.unlink(_claim_path(out_root, name))
+        else:
+            final_dir = os.path.abspath(os.path.join(out_root, "data", name))
+            waves.append(_Wave(name, chunk, f"{final_dir}.tmp-{os.getpid()}-{uuid.uuid4().hex[:6]}"))
+            os.makedirs(waves[-1].tmp_dir)
+    return waves, lost
+
+
+_PART_STATS = pa.schema(
+    [
+        ("path", pa.string()),
+        ("file", pa.string()),
+        ("rows", pa.int64()),
+        ("bytes", pa.int64()),
+        ("n_error_rows", pa.int64()),
+        ("n_truncated_rows", pa.int64()),
+    ]
+)
+
+
+def _write_parts(block: pa.Table, tmp_dirs: dict[str, str]) -> pa.Table:
+    """Write task: one parquet part per source file of ``block``, without
+    the ``path`` column, into that file's wave tmp dir (snappy, the codec
+    ``Dataset.write_parquet`` uses). Returns one stats row per part, in
+    stream order."""
+    paths = block.column("path")
+    stats = []
+    for path in pc.unique(paths).to_pylist():
+        part = block.filter(pc.equal(paths, path)).drop_columns(["path"])
+        dest = os.path.join(tmp_dirs[path], f"{uuid.uuid4().hex}.parquet")
+        pq.write_table(part, dest, compression="snappy")
+        stats.append(
+            {
+                "path": path,
+                "file": dest,
+                "rows": part.num_rows,
+                "bytes": os.path.getsize(dest),
+                "n_error_rows": part.num_rows - part.column("error").null_count,
+                "n_truncated_rows": pc.sum(part.column("truncated")).as_py() or 0,
+            }
+        )
+    return pa.Table.from_pylist(stats, schema=_PART_STATS)
+
+
+def _commit_wave(out_root: str, wave: _Wave, wall_sec: float) -> None:
+    """Publish one wave: parts renamed in stream order, tmp dir
+    ``os.replace``d into place, manifest written, claim released."""
+    # Ray Data retries a task whose worker died (max_retries=-1), so a dead
+    # attempt may have left a part that no stats row names: drop it, or its
+    # rows would be committed twice.
+    named = set(wave.parts)
+    for entry in os.listdir(wave.tmp_dir):
+        path = os.path.join(wave.tmp_dir, entry)
+        if path not in named:
+            os.unlink(path)
+    for k, part in enumerate(wave.parts):
+        os.rename(part, os.path.join(wave.tmp_dir, f"part-{k:05d}.parquet"))
+    final_dir = os.path.join(out_root, "data", wave.name)
+    try:
+        os.replace(wave.tmp_dir, final_dir)  # atomic, succeeds at most once
+    except OSError:
+        shutil.rmtree(wave.tmp_dir, ignore_errors=True)
+        if not os.path.isdir(final_dir):
+            raise  # not a lost commit race: surface the real error
+
+    mpath = os.path.join(_manifest_dir(out_root), wave.name + ".json")
+    if not os.path.exists(mpath):
+        manifest = {
+            "wave": wave.name,
+            "input_files": wave.files,
+            "input_bytes": sum(os.path.getsize(f) for f in wave.files),
+            "row_count": wave.row_count,
+            "output_bytes": wave.output_bytes,
+            "n_error_rows": wave.n_error_rows,
+            "n_truncated_rows": wave.n_truncated_rows,
+            "wall_sec": round(wall_sec, 3),
+            "engine_version": __version__,
+            "created_unix": int(time.time()),
+        }
+        with open(mpath + f".tmp-{os.getpid()}", "w") as f:
+            json.dump(manifest, f, indent=2, sort_keys=True)
+        os.replace(mpath + f".tmp-{os.getpid()}", mpath)
+
+    with contextlib.suppress(OSError):
+        os.unlink(_claim_path(out_root, wave.name))
+
+
+def _drop_frame_locals(err: BaseException) -> None:
+    """Clear the locals of every finished frame that ``err``'s traceback
+    chain reaches, callers included.
+
+    Ray Data's frames on that chain hold the failed executor's actor pool
+    (e.g. a ``process_completed_tasks`` frame behind the chained
+    ``StopIteration``), so while the caller keeps the error, no collection
+    can free the actors and their CPUs, and a retry in this process waits
+    for them. Tracebacks still print: they need no frame locals."""
+    errors, seen = [err], set()
+    while errors:
+        exc = errors.pop()
+        if exc is None or id(exc) in seen:
+            continue
+        seen.add(id(exc))
+        errors += [exc.__cause__, exc.__context__]
+        tb = exc.__traceback__
+        while tb is not None:
+            frame = tb.tb_frame
+            while frame is not None and id(frame) not in seen:
+                seen.add(id(frame))
+                with contextlib.suppress(RuntimeError):  # still executing
+                    frame.clear()
+                frame = frame.f_back
+            tb = tb.tb_next
+
+
+def _run_waves(out_root: str, waves: list[_Wave], cfg: ExtractConfig, summary: dict) -> None:
+    """One extraction Dataset over all of ``waves``' files. A wave commits,
+    in input order, when the first part of a later wave arrives or the
+    stream ends; each commit renews the lease of the claims still held."""
+    # Absolute paths: Ray names each row's file exactly as given, and its
+    # workers need not share the driver's cwd.
+    wave_of = {os.path.abspath(f): w for w in waves for f in w.files}
+    t0 = time.perf_counter()
+    pages = ray.data.read_datasource(
+        _PagesFileDatasource(list(wave_of), max_record_bytes=MAX_RECORD_BYTES, include_paths=True)
+    )
+    ds = build_extract_pipeline(pages, cfg).map_batches(
+        _write_parts,
+        fn_kwargs={"tmp_dirs": {path: w.tmp_dir for path, w in wave_of.items()}},
+        batch_format="pyarrow",
+        batch_size=None,
+        zero_copy_batch=True,
+    )
+    # Ordered output on this Dataset's own context, not the process-wide one.
+    ds.context.execution_options.preserve_order = True
+    pending = list(waves)
+
+    def commit_first() -> None:
+        wave = pending[0]
+        _commit_wave(out_root, wave, time.perf_counter() - t0)
+        pending.pop(0)
+        summary["waves_run"] += 1
+        summary["rows_written"] += wave.row_count
+        now = time.time()
+        for w in pending:
+            with contextlib.suppress(OSError):
+                os.utime(_claim_path(out_root, w.name), (now, now))
+
+    try:
+        for stats in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+            for part in stats.to_pylist():
+                wave = wave_of[part["path"]]
+                if wave not in pending:
+                    raise RuntimeError(f"{part['path']}: part arrived after its wave committed")
+                while pending[0] is not wave:
+                    commit_first()
+                wave.add(part)
+        while pending:
+            commit_first()
+    except BaseException as err:
+        _drop_frame_locals(err)
+        raise
+    finally:
+        for wave in pending:
+            shutil.rmtree(wave.tmp_dir, ignore_errors=True)
+            with contextlib.suppress(OSError):
+                os.unlink(_claim_path(out_root, wave.name))
+        # The actors hold their CPUs until their ActorHandles are freed, and
+        # each handle sits in a reference cycle inside Ray (the handle <->
+        # its ActorMethod objects; the ActorPoolMapOperator is in another,
+        # through the ray_remote_args_fn closure that Ray Data's
+        # ConfigureMapTaskMemoryRule binds to it). Reference counting never
+        # frees them, so without a collection here the caller's next
+        # Dataset waits for CPUs until the collector happens to run.
+        del ds
+        gc.collect()
+
+
 def run_resumable(
     pages_path: str,
     out_root: str,
@@ -232,12 +468,11 @@ def run_resumable(
     """Run (or resume) the extraction pipeline with per-wave commits.
 
     Safe under concurrent drivers on the same ``out_root`` (see module
-    docstring): work is re-listed every iteration minus committed and
-    live-claimed files, each chunk is claimed atomically before
-    processing, and the data-dir commit is an ``os.replace`` that can only
-    succeed once per wave.
+    docstring): work is listed minus committed and live-claimed files, each
+    chunk is claimed atomically before processing, and the data-dir commit
+    is an ``os.replace`` that can only succeed once per wave.
 
-    ``max_waves`` bounds how many waves this invocation processes (used by
+    ``max_waves`` bounds how many waves this invocation commits (used by
     tests to simulate a kill between commits). Returns a summary dict.
     """
     cfg = cfg or ExtractConfig()
@@ -273,95 +508,27 @@ def run_resumable(
         "rows_written": 0,
     }
 
-    # Waves whose claim we just lost: back off by name (content-hashed, so
-    # stable across re-lists) instead of re-trying the same chunk in a tight
-    # loop — matters when a claim file is fresh but unparseable, so its
-    # files stay in todo yet _try_claim keeps failing.
     blocked_until: dict[str, float] = {}
-    while True:
-        if max_waves is not None and summary["waves_run"] >= max_waves:
-            break
+    while max_waves is None or summary["waves_run"] < max_waves:
         # Re-list every iteration: committed and live-claimed files come
         # from disk, so chunks never overlap another driver's work.
         done = completed_input_files(out_root)
         claimed = _live_claimed_files(out_root, claim_lease_sec)
         todo = [f for f in files if f not in done and f not in claimed]
-        if not todo:
+        budget = None if max_waves is None else max_waves - summary["waves_run"]
+        waves, lost = _claim_waves(
+            out_root, todo, wave_files, budget, claim_lease_sec, blocked_until
+        )
+        if waves:
+            _run_waves(out_root, waves, cfg, summary)
+        elif not lost:
+            # Nothing left, or every remaining chunk is contested by a live
+            # claim whose body we cannot read. Mirror the readable-claim
+            # behavior (claimed files simply leave todo): leave the work to
+            # its owner and report complete=False instead of spinning until
+            # lease expiry.
             break
-        now = time.time()
-        chunk = wave_name = None
-        for start in range(0, len(todo), wave_files):
-            cand = todo[start : start + wave_files]
-            name = _wave_name(cand)
-            if blocked_until.get(name, 0.0) <= now:
-                chunk, wave_name = cand, name
-                break
-        if chunk is None:
-            # Every remaining chunk is contested by a live claim whose body
-            # we cannot read. Mirror the readable-claim behavior (claimed
-            # files simply leave todo): leave the work to its owner and
-            # report complete=False instead of spinning until lease expiry.
-            break
-        if not _try_claim(out_root, wave_name, chunk, claim_lease_sec):
-            blocked_until[wave_name] = time.time() + 1.0
-            continue  # lost the race for this chunk; re-list and move on
-
-        final_dir = os.path.join(out_root, "data", wave_name)
-        tmp_dir = f"{final_dir}.tmp-{os.getpid()}-{uuid.uuid4().hex[:6]}"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-
-        t0 = time.perf_counter()
-        ds = build_extract_pipeline(_read_chunk(chunk), cfg)
-        ds.write_parquet(tmp_dir)
-        wall = time.perf_counter() - t0
-        try:
-            stage_stats = ds.stats()[:4000]  # per-stage wall/cpu breakdown
-        except Exception:
-            stage_stats = ""
-        # The wave's actors hold their CPUs until their ActorHandles are
-        # freed, and each handle sits in a reference cycle inside Ray (the
-        # handle <-> its ActorMethod objects; the ActorPoolMapOperator is
-        # in another, through the ray_remote_args_fn closure that Ray
-        # Data's ConfigureMapTaskMemoryRule binds to it). Reference counting
-        # never frees them, so without a collection here the next wave, or
-        # the caller's next Dataset, waits for CPUs until the collector
-        # happens to run.
-        del ds
-        gc.collect()
-
-        try:
-            os.replace(tmp_dir, final_dir)  # atomic, succeeds at most once
-        except OSError:
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-            if not os.path.isdir(final_dir):
-                raise  # not a lost commit race: surface the real error
-        rows, nbytes, extra = _out_stats(final_dir)
-
-        mpath = os.path.join(_manifest_dir(out_root), wave_name + ".json")
-        if not os.path.exists(mpath):
-            manifest = {
-                "wave": wave_name,
-                "input_files": chunk,
-                "input_bytes": sum(os.path.getsize(f) for f in chunk),
-                "row_count": rows,
-                "output_bytes": nbytes,
-                "wall_sec": round(wall, 3),
-                "engine_version": __version__,
-                "created_unix": int(time.time()),
-                "stage_stats": stage_stats,
-                **extra,
-            }
-            with open(mpath + f".tmp-{os.getpid()}", "w") as f:
-                json.dump(manifest, f, indent=2, sort_keys=True)
-            os.replace(mpath + f".tmp-{os.getpid()}", mpath)
-
-        try:
-            os.unlink(os.path.join(_claims_dir(out_root), wave_name + ".claim"))
-        except OSError:
-            pass
-
-        summary["waves_run"] += 1
-        summary["rows_written"] += rows
+        # A lost claim re-lists: the winner's claim now hides its files.
 
     summary["complete"] = len(completed_input_files(out_root)) == len(files)
     return summary
