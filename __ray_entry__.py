@@ -191,7 +191,8 @@ def _semantic_match_rate(sf_dir: str, n_sample: int = 200) -> pd.DataFrame:
     from yomitoku_ray.extractor.rule_pipeline import run_rule_extraction
     from yomitoku_ray.extractor.schema import ExtractionSchema
     from yomitoku_ray.pipelines.extract import PAGES_COLUMNS
-    from yomitoku_ray.semantic import parse_semantic_html_bytes
+    from yomitoku_ray.oracle import parse_semantic_html_bytes
+    from yomitoku_ray.stages.page_stage import map_page_stage
     from yomitoku_ray.stages.semantic_stage import SemanticExtractStage
 
     schema_dict = {
@@ -202,12 +203,8 @@ def _semantic_match_rate(sf_dir: str, n_sample: int = 200) -> pd.DataFrame:
     }
     path = _pages_path(sf_dir)
     src = ray.data.read_parquet(path, columns=PAGES_COLUMNS).limit(n_sample)
-    result = src.map_batches(
-        SemanticExtractStage,
-        fn_constructor_kwargs={"extraction_schema": schema_dict},
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=(2, 8),
+    result = map_page_stage(
+        src, SemanticExtractStage, {"extraction_schema": schema_dict}, batch_size=32
     ).to_pandas()
 
     html_by_url = _html_by_url(path, result["url"])

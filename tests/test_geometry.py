@@ -282,7 +282,7 @@ def test_semantic_parse_evaluates_adjacency_once_per_table(monkeypatch):
     import sys
 
     from yomitoku_ray.kernels.geometry_vec import AdjacencyPlanes
-    from yomitoku_ray.semantic import parse_semantic_html_bytes
+    from yomitoku_ray.oracle import parse_semantic_html_bytes
 
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "ccbench"))
     import gen

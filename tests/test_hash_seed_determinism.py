@@ -9,8 +9,7 @@ SCRIPT = r"""
 import hashlib, json, sys
 sys.path.insert(0, "/root/repo")
 from yomitoku_ray.synth.pages import gen_page
-from yomitoku_ray.oracle import analyze_html_bytes
-from yomitoku_ray.semantic import parse_semantic_html_bytes
+from yomitoku_ray.oracle import analyze_html_bytes, parse_semantic_html_bytes
 
 h = hashlib.sha256()
 for i in range(40):

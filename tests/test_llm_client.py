@@ -21,7 +21,7 @@ from yomitoku_ray.extractor.llm_client import (
     strip_json_fences,
 )
 from yomitoku_ray.extractor.schema import ExtractionSchema
-from yomitoku_ray.semantic import parse_semantic_html_bytes
+from yomitoku_ray.oracle import parse_semantic_html_bytes
 
 HTML = (
     "<html><body><table>"

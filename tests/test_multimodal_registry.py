@@ -1,10 +1,9 @@
-"""Multimodal stub stages, OCR pipeline, registry, CLI smoke."""
+"""Multimodal stub stages, OCR pipeline, CLI smoke."""
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from yomitoku_ray.registry import get_stage, list_stages, recursive_update
 from yomitoku_ray.stages.multimodal import (
     DecoderBackend,
     ImageFeatureStage,
@@ -122,21 +121,6 @@ def test_corrupt_files_raise_only_codec_errors():
                 be.decode_image(c)
             except (ValueError, NotImplementedError):
                 pass
-
-
-def test_registry_merge_and_resolution():
-    cfg, stage = get_stage("extract", {"reading_order": "left2right"})
-    assert cfg["reading_order"] == "left2right"
-    assert cfg["ignore_ruby"] is False  # default preserved
-    assert "extract" in list_stages() and "semantic" in list_stages()
-    with pytest.raises(KeyError):
-        get_stage("nope")
-
-
-def test_recursive_update_nested():
-    base = {"a": {"b": 1, "c": 2}, "d": 3}
-    recursive_update(base, {"a": {"c": 9}, "e": 4})
-    assert base == {"a": {"b": 1, "c": 9}, "d": 3, "e": 4}
 
 
 def test_ocr_pipeline(ray_session, tmp_path):

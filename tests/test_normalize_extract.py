@@ -6,7 +6,7 @@ import json
 from yomitoku_ray.extractor import ExtractionSchema
 from yomitoku_ray.extractor.rule_pipeline import run_rule_extraction
 from yomitoku_ray.functions.normalize import apply_normalize, list_normalizers
-from yomitoku_ray.semantic import parse_semantic_html_bytes
+from yomitoku_ray.oracle import parse_semantic_html_bytes
 
 
 def test_normalizer_registry_complete():

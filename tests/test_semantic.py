@@ -2,7 +2,7 @@
 
 import json
 
-from yomitoku_ray.semantic import parse_semantic_html_bytes
+from yomitoku_ray.oracle import parse_semantic_html_bytes
 
 
 def parse(html: str):

@@ -46,7 +46,6 @@ def cmd_extract(args):
     from .state.checkpoint import run_resumable
 
     cfg = ExtractConfig(
-        detect_concurrency=(2, max(2, args.num_cpus - 2)),
         ignore_ruby=args.ignore_ruby,
         ignore_meta=args.ignore_meta,
         reading_order=args.reading_order,
@@ -82,7 +81,7 @@ def cmd_crawl(args):
     from .pipelines.extract import ExtractConfig, build_extract_pipeline
     from .sources.warc import read_warc
 
-    cfg = ExtractConfig(detect_concurrency=(2, max(2, args.num_cpus - 2)))
+    cfg = ExtractConfig()
     if args.wat:
         # WAT derives from the RAW capture, not the extraction output, so
         # it is its own consume of the WARC input (exactly how CC produces

@@ -312,20 +312,6 @@ def is_noise(quad, thresh=15):
     return width < thresh or height < thresh
 
 
-def recursive_update(original, new_data):
-    """Nested dict merge for configs. document_analyzer.py:256-268."""
-    for key, value in new_data.items():
-        if (
-            isinstance(value, dict)
-            and key in original
-            and isinstance(original[key], dict)
-        ):
-            recursive_update(original[key], value)
-        else:
-            original[key] = value
-    return original
-
-
 # ---------------------------------------------------------------------------
 # Table cell-grid construction (table_structure_recognizer.py:27-85)
 # ---------------------------------------------------------------------------

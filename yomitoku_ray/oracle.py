@@ -8,15 +8,16 @@ byte-for-byte against this oracle (the golden-file pattern of
 ``/root/reference/tests/test_table_semantic_from_json.py:116-148``, tightened
 to byte identity per the north rule).
 
-The per-page body is the fused stage's ``extract_document``; the oracle runs
-it on a fresh engine for every page, where the actor reuses one engine for
-all of its pages.
+The per-page bodies are the stages' ``extract_document`` and
+``semantic_document``; the oracle runs them on a fresh engine for every
+page, where an actor reuses one engine for all of its pages.
 """
 
 from __future__ import annotations
 
-from .detect import BoilerplateClassifier, PageLayoutEngine
-from .stages.fused_stage import extract_document
+from .detect import PageLayoutEngine
+from .stages.fused_stage import FusedExtractStage, extract_document
+from .stages.semantic_stage import semantic_document
 
 
 def analyze_html_bytes(
@@ -25,8 +26,6 @@ def analyze_html_bytes(
     reading_order: str = "auto",
     ignore_meta: bool = False,
     ignore_ruby: bool = False,
-    ruby_threshold: float = 2.0,
-    classifier: BoilerplateClassifier | None = None,
 ):
     """Full oracle run for one page. Returns (columns dict, error | None).
 
@@ -36,13 +35,15 @@ def analyze_html_bytes(
     counters are left out.
     """
     cols, err = extract_document(
-        PageLayoutEngine(classifier),
-        raw,
-        url,
-        reading_order,
-        ignore_meta,
-        ignore_ruby,
-        ruby_threshold,
+        PageLayoutEngine(), raw, url, reading_order, ignore_meta, ignore_ruby
     )
+    cols = dict(FusedExtractStage.empty_row if err is not None else cols)
     del cols["n_boilerplate"], cols["truncated"]
     return cols, err
+
+
+def parse_semantic_html_bytes(raw: bytes, merge_same_column_values: bool = False):
+    """Single-process semantic parse of one page. Returns (doc, err)."""
+    return semantic_document(
+        PageLayoutEngine(collect_semantic=True), raw, merge_same_column_values
+    )

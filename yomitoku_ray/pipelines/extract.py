@@ -18,28 +18,27 @@ Shape per SURVEY.md §7.1. Scale posture:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import ray.data
 
 from ..stages.fused_stage import FusedExtractStage
+from ..stages.page_stage import map_page_stage
 
 PAGES_COLUMNS = ["url", "warc_ts", "html", "lang"]
 
 
 @dataclass
 class ExtractConfig:
-    # Actor pool sizing for the fused extraction stage (detection is its
-    # heavy part, hence the names); concurrency is a (min, max) autoscaling
-    # range per the ActorPoolStrategy idiom.
-    detect_concurrency: tuple = (2, 16)
+    # Actor pool of the fused extraction stage (detection is its heavy part,
+    # hence the names): a size or a (min, max) autoscaling range per the
+    # ActorPoolStrategy idiom; None sizes it from the cluster
+    # (``map_page_stage``).
+    detect_concurrency: int | tuple | None = None
     detect_batch_size: int = 64
-    detect_num_cpus: float = 1.0
     reading_order: str = "auto"
     ignore_meta: bool = False
     ignore_ruby: bool = False
-    ruby_threshold: float = 2.0
-    classifier_config: dict = field(default_factory=dict)
     # Read parallelism: blocks per input (None = Ray default). The pages
     # parquet has few large files; splitting blocks finer keeps the actor
     # pool saturated.
@@ -57,19 +56,16 @@ def read_pages(path, columns=PAGES_COLUMNS, cfg: "ExtractConfig | None" = None):
 def build_extract_pipeline(ds: ray.data.Dataset, cfg: ExtractConfig | None = None):
     """Attach the extraction stage to a pages Dataset (lazy)."""
     cfg = cfg or ExtractConfig()
-    return ds.map_batches(
+    return map_page_stage(
+        ds,
         FusedExtractStage,
-        fn_constructor_kwargs={
-            "classifier_config": cfg.classifier_config,
+        {
             "reading_order": cfg.reading_order,
             "ignore_meta": cfg.ignore_meta,
             "ignore_ruby": cfg.ignore_ruby,
-            "ruby_threshold": cfg.ruby_threshold,
         },
-        batch_format="pyarrow",
         batch_size=cfg.detect_batch_size,
         concurrency=cfg.detect_concurrency,
-        num_cpus=cfg.detect_num_cpus,
     )
 
 

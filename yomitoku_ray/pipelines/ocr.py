@@ -11,9 +11,9 @@ from __future__ import annotations
 import pyarrow as pa
 import ray.data
 
-from ..detect import BoilerplateClassifier, PageLayoutEngine
-from ..dom import DecodeError, decode_html
+from ..dom import decode_html
 from ..schemas import WORD
+from ..stages.page_stage import PageStage, map_page_stage, per_row_errors
 from .extract import PAGES_COLUMNS
 
 OCR_RESULT_SCHEMA = pa.schema(
@@ -27,48 +27,24 @@ OCR_RESULT_SCHEMA = pa.schema(
 )
 
 
-class OcrStage:
+class OcrStage(PageStage):
     """Actor stage: html -> word stream (det⋈rec output shape)."""
 
-    def __init__(self, classifier_config: dict | None = None):
-        self.engine = PageLayoutEngine(BoilerplateClassifier(**(classifier_config or {})))
+    schema = OCR_RESULT_SCHEMA
+    empty_row = {"words": [], "n_words": 0, "content": ""}
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {"error": [], "words": [], "n_words": [], "content": []}
-        for raw in batch.column("html").to_pylist():
-            try:
-                det = self.engine.detect(decode_html(raw or b""))
-                words = [w.to_dict() for w in det.words]
-                content = "\n".join(w.content for w in det.words)
-                out["error"].append(None)
-                out["words"].append(words)
-                out["n_words"].append(len(words))
-                out["content"].append(content)
-            except DecodeError as e:
-                self._append_error(out, str(e))
-            except Exception as e:
-                self._append_error(out, f"{type(e).__name__}: {e}")
-        cols = {"url": batch.column("url")}
-        for f in OCR_RESULT_SCHEMA:
-            if f.name not in cols:
-                cols[f.name] = pa.array(out[f.name], f.type)
-        return pa.Table.from_arrays(
-            [cols[f.name] for f in OCR_RESULT_SCHEMA], schema=OCR_RESULT_SCHEMA
-        )
-
-    @staticmethod
-    def _append_error(out, err):
-        out["error"].append(err)
-        out["words"].append([])
-        out["n_words"].append(0)
-        out["content"].append("")
+    @per_row_errors
+    def page(self, raw, url):
+        det = self.engine.detect(decode_html(raw or b""))
+        return {
+            "words": [w.to_dict() for w in det.words],
+            "n_words": len(det.words),
+            "content": "\n".join(w.content for w in det.words),
+        }
 
 
-def ocr_pages(path, concurrency=(2, 16), batch_size=32) -> ray.data.Dataset:
+def ocr_pages(path, concurrency=None, batch_size=32) -> ray.data.Dataset:
+    """read -> OCR word stream, lazy Dataset; ``concurrency=None`` sizes the
+    actor pool from the cluster (``map_page_stage``)."""
     ds = ray.data.read_parquet(path, columns=list(PAGES_COLUMNS))
-    return ds.map_batches(
-        OcrStage,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return map_page_stage(ds, OcrStage, batch_size=batch_size, concurrency=concurrency)

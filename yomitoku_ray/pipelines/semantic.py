@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ray.data
 
+from ..stages.page_stage import map_page_stage
 from ..stages.semantic_stage import SemanticExtractStage
 from .extract import PAGES_COLUMNS
 
@@ -11,23 +12,20 @@ from .extract import PAGES_COLUMNS
 def semantic_pages(
     path,
     extraction_schema: dict | None = None,
-    concurrency=(2, 16),
+    concurrency=None,
     batch_size: int = 32,
-    read_num_blocks: int | None = None,
     merge_same_column_values: bool = False,
 ) -> ray.data.Dataset:
-    """read -> semantic parse [-> rule extraction], lazy Dataset."""
-    kwargs = {}
-    if read_num_blocks:
-        kwargs["override_num_blocks"] = read_num_blocks
-    ds = ray.data.read_parquet(path, columns=list(PAGES_COLUMNS), **kwargs)
-    return ds.map_batches(
+    """read -> semantic parse [-> rule extraction], lazy Dataset;
+    ``concurrency=None`` sizes the actor pool from the cluster."""
+    ds = ray.data.read_parquet(path, columns=list(PAGES_COLUMNS))
+    return map_page_stage(
+        ds,
         SemanticExtractStage,
-        fn_constructor_kwargs={
+        {
             "extraction_schema": extraction_schema,
             "merge_same_column_values": merge_same_column_values,
         },
-        batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
     )

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from ..detect import BoilerplateClassifier, detect_page
-from ..dom import DecodeError, decode_html
 from .parser import parse_semantic_tables
 from .schemas import SemanticDocument, SemanticParagraph
 
@@ -20,19 +18,3 @@ def semantic_from_detections(det, merge_same_column_values=False) -> SemanticDoc
         paragraphs,
         merge_same_column_values=merge_same_column_values,
     )
-
-
-def parse_semantic_html_bytes(
-    raw: bytes,
-    classifier: BoilerplateClassifier | None = None,
-    merge_same_column_values: bool = False,
-):
-    """Oracle-style single-process semantic parse. Returns (doc, err)."""
-    try:
-        text = decode_html(raw)
-        det = detect_page(text, classifier, collect_semantic=True)
-        return semantic_from_detections(det, merge_same_column_values), None
-    except DecodeError as e:
-        return None, str(e)
-    except Exception as e:  # pragma: no cover
-        return None, f"{type(e).__name__}: {e}"

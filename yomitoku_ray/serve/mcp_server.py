@@ -159,7 +159,7 @@ def process_document(filename: str, output_format: str) -> str:
 def extract_fields(filename: str, schema: dict) -> str:
     from ..extractor.rule_pipeline import run_rule_extraction
     from ..extractor.schema import ExtractionSchema
-    from ..semantic import parse_semantic_html_bytes
+    from ..oracle import parse_semantic_html_bytes
 
     path = _resolve_resource(filename)
     if not os.path.exists(path):

@@ -1,17 +1,20 @@
 """Semantic parsing + rule extraction as a Ray Data actor stage.
 
 The TableSemanticParser pipeline (A5/T1-T7) + the rule extraction cascade
-(E1-E4) fused per row (same rationale as the fused extract stage). The
-extraction schema is broadcast once per actor via constructor kwargs —
-the small-side broadcast pattern (no shuffle).
+(E1-E4) fused per row (same rationale as the fused extract stage).
+``semantic_document`` is the one per-page parse: the actor calls it with its
+long-lived engine, the single-process oracle
+(``oracle.parse_semantic_html_bytes``) with a fresh engine per page. The
+extraction schema is broadcast once per actor via constructor kwargs — the
+small-side broadcast pattern (no shuffle).
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 
-from ..detect import BoilerplateClassifier, PageLayoutEngine
-from ..dom import DecodeError, decode_html
+from ..detect import PageLayoutEngine
+from ..dom import decode_html
 from ..export.json_export import (
     fast_canonical_json,
     fast_semantic_dump_json,
@@ -20,6 +23,8 @@ from ..export.json_export import (
 from ..extractor.rule_pipeline import run_rule_extraction
 from ..extractor.schema import ExtractionSchema
 from ..semantic import semantic_from_detections
+from ..semantic.schemas import SemanticDocument
+from .page_stage import PageStage, per_row_errors
 
 SEMANTIC_RESULT_SCHEMA = pa.schema(
     [
@@ -37,75 +42,57 @@ SEMANTIC_RESULT_SCHEMA = pa.schema(
 )
 
 
-class SemanticExtractStage:
+@per_row_errors
+def semantic_document(
+    engine: PageLayoutEngine, raw: bytes | None, merge_same_column_values: bool = False
+) -> SemanticDocument:
+    """One page: html bytes -> (SemanticDocument, None), or (None, error).
+    ``engine`` must collect semantic cells (``collect_semantic=True``)."""
+    det = engine.detect(decode_html(raw or b""))
+    return semantic_from_detections(det, merge_same_column_values)
+
+
+class SemanticExtractStage(PageStage):
     """decode -> detect -> semantic parse [-> rule extraction] per row."""
+
+    schema = SEMANTIC_RESULT_SCHEMA
+    empty_row = {
+        "semantic_json": "",
+        "views_json": "",
+        "extraction_json": "",
+        "n_tables": 0,
+        "n_kv_items": 0,
+        "n_grids": 0,
+    }
+    collect_semantic = True
 
     def __init__(
         self,
         extraction_schema: dict | None = None,
-        classifier_config: dict | None = None,
         merge_same_column_values: bool = False,
-        simple_output: bool = True,
     ):
-        self.engine = PageLayoutEngine(
-            BoilerplateClassifier(**(classifier_config or {})), collect_semantic=True
-        )
-        self.schema = (
+        super().__init__()
+        self.extraction_schema = (
             ExtractionSchema.from_dict(extraction_schema) if extraction_schema else None
         )
         self.merge_same_column_values = merge_same_column_values
-        self.simple_output = simple_output
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {
-            "error": [],
-            "semantic_json": [],
-            "views_json": [],
-            "extraction_json": [],
-            "n_tables": [],
-            "n_kv_items": [],
-            "n_grids": [],
+    def page(self, raw, url):
+        doc, err = semantic_document(self.engine, raw, self.merge_same_column_values)
+        return (None, err) if err is not None else self._columns(doc)
+
+    @per_row_errors
+    def _columns(self, doc: SemanticDocument) -> dict:
+        row = {
+            "semantic_json": fast_semantic_dump_json(doc),
+            "views_json": fast_views_json(doc.to_dict()),
+            "extraction_json": "",
         }
-        for raw in batch.column("html").to_pylist():
-            raw = raw or b""
-            try:
-                text = decode_html(raw)
-                det = self.engine.detect(text)
-                doc = semantic_from_detections(det, self.merge_same_column_values)
-                out["error"].append(None)
-                out["semantic_json"].append(fast_semantic_dump_json(doc))
-                out["views_json"].append(fast_views_json(doc.to_dict()))
-                if self.schema is not None:
-                    result = run_rule_extraction(
-                        doc, self.schema, simple=self.simple_output
-                    )
-                    out["extraction_json"].append(fast_canonical_json(result))
-                else:
-                    out["extraction_json"].append("")
-                out["n_tables"].append(len(doc.tables))
-                out["n_kv_items"].append(sum(len(t.kv_items) for t in doc.tables))
-                out["n_grids"].append(sum(len(t.grids) for t in doc.tables))
-            except DecodeError as e:
-                self._append_error(out, str(e))
-            except Exception as e:  # pragma: no cover
-                self._append_error(out, f"{type(e).__name__}: {e}")
-
-        cols = {
-            "url": batch.column("url"),
-            "warc_ts": batch.column("warc_ts"),
-            "lang": batch.column("lang"),
-        }
-        for f in SEMANTIC_RESULT_SCHEMA:
-            if f.name not in cols:
-                cols[f.name] = pa.array(out[f.name], f.type)
-        return pa.Table.from_arrays(
-            [cols[f.name] for f in SEMANTIC_RESULT_SCHEMA], schema=SEMANTIC_RESULT_SCHEMA
-        )
-
-    @staticmethod
-    def _append_error(out, err):
-        out["error"].append(err)
-        for key in ("semantic_json", "views_json", "extraction_json"):
-            out[key].append("")
-        for key in ("n_tables", "n_kv_items", "n_grids"):
-            out[key].append(0)
+        if self.extraction_schema is not None:
+            row["extraction_json"] = fast_canonical_json(
+                run_rule_extraction(doc, self.extraction_schema, simple=True)
+            )
+        row["n_tables"] = len(doc.tables)
+        row["n_kv_items"] = sum(len(t.kv_items) for t in doc.tables)
+        row["n_grids"] = sum(len(t.grids) for t in doc.tables)
+        return row

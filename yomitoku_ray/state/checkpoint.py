@@ -427,8 +427,9 @@ def _run_waves(out_root: str, waves: list[_Wave], cfg: ExtractConfig, summary: d
             with contextlib.suppress(OSError):
                 os.utime(_claim_path(out_root, w.name), (now, now))
 
+    batches = iter(ds.iter_batches(batch_format="pyarrow", batch_size=None))
     try:
-        for stats in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+        for stats in batches:
             for part in stats.to_pylist():
                 wave = wave_of[part["path"]]
                 if wave not in pending:
@@ -442,10 +443,12 @@ def _run_waves(out_root: str, waves: list[_Wave], cfg: ExtractConfig, summary: d
         _drop_frame_locals(err)
         raise
     finally:
-        for wave in pending:
-            shutil.rmtree(wave.tmp_dir, ignore_errors=True)
-            with contextlib.suppress(OSError):
-                os.unlink(_claim_path(out_root, wave.name))
+        # Stop the stream before its tmp dirs go: closing the iterator ends
+        # its prefetch threads, and freeing the Dataset shuts its executor
+        # down, which cancels the write tasks still in flight. Otherwise a
+        # write fails on a removed dir and its error reaches a prefetch
+        # thread that can no longer report it.
+        batches.close()
         # The actors hold their CPUs until their ActorHandles are freed, and
         # each handle sits in a reference cycle inside Ray (the handle <->
         # its ActorMethod objects; the ActorPoolMapOperator is in another,
@@ -453,8 +456,12 @@ def _run_waves(out_root: str, waves: list[_Wave], cfg: ExtractConfig, summary: d
         # ConfigureMapTaskMemoryRule binds to it). Reference counting never
         # frees them, so without a collection here the caller's next
         # Dataset waits for CPUs until the collector happens to run.
-        del ds
+        del batches, ds
         gc.collect()
+        for wave in pending:
+            shutil.rmtree(wave.tmp_dir, ignore_errors=True)
+            with contextlib.suppress(OSError):
+                os.unlink(_claim_path(out_root, wave.name))
 
 
 def run_resumable(
