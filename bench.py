@@ -14,7 +14,7 @@ Prints ONE JSON line:
 sizes. Each leg is a fresh process pinned to num_cpus (8 then 32) over the
 SAME input, sized to ~3x the headline workload (default 300k pages,
 $BENCH_SCALING_PAGES to override) and preceded by an untimed warm-up pass
-(actor-pool spin-up + page cache) so the measured leg is steady-state, not
+(worker start-up + page cache) so the measured leg is steady-state, not
 startup-amortized. Reports both throughputs + scaling efficiency.
 
 Env knobs: RAY_GRAFT_CPUS, BENCH_N_PAGES (row-count override),
@@ -72,26 +72,14 @@ def run_bench() -> dict:
 
     timings: dict[str, float] = {}
 
-    # Fixed-size pool: autoscaling ramp cost ~2x wall at this job length.
-    # Pool fraction is RATIO-consistent across cpu counts (default 7/8 of
-    # cores to the detect actors, the rest to read/write tasks) so scaling
-    # legs exercise the same resource split — a flat "-2" reserve gives a
-    # small leg 75% and a big leg 94%, skewing measured efficiency. The
-    # scaling harness passes 6/8 so both legs get EXACTLY 4x actors and 4x
-    # io lanes (integer floors of 7/8 break the ratio at small cpu counts).
-    pool_num = int(os.environ.get("BENCH_POOL_NUM", "7"))
-    cfg = ExtractConfig(
-        detect_concurrency=max(3, (NUM_CPUS * pool_num) // 8),
-        detect_batch_size=16,
-        read_num_blocks=NUM_CPUS * 8,
-    )
+    cfg = ExtractConfig(detect_batch_size=16, read_num_blocks=NUM_CPUS * 8)
 
     if WARMUP:
-        # Untimed steady-state warm-up: spins up the actor pool, imports,
-        # JIT-y first-call costs. The limit sits on the READ (so only
+        # Untimed steady-state warm-up: worker processes, imports, JIT-y
+        # first-call costs. The limit sits on the READ (so only
         # n_warm pages are ever produced — a limit after the map stage lets
         # the scheduler race far ahead of it) and the sink is materialize()
-        # (driver-side iter_batches consumption throttles the whole pool).
+        # (driver-side iter_batches consumption throttles the whole stage).
         from yomitoku_ray.pipelines.extract import build_extract_pipeline, read_pages
 
         warm_src = read_pages(pages_path, cfg=cfg).limit(5000)
@@ -165,20 +153,10 @@ def run_bench() -> dict:
 
         # Semantic table-parsing pipeline at FULL bench scale (same page
         # count as the headline).
-        import ray.data
-
-        from yomitoku_ray.stages.semantic_stage import SemanticExtractStage
-        from yomitoku_ray.pipelines.extract import PAGES_COLUMNS
+        from yomitoku_ray.pipelines.semantic import semantic_pages
 
         t0 = time.perf_counter()
-        sem_src = ray.data.read_parquet(pages_path, columns=list(PAGES_COLUMNS))
-        sem_ds = sem_src.map_batches(
-            SemanticExtractStage,
-            batch_format="pyarrow",
-            batch_size=16,
-            concurrency=max(4, NUM_CPUS - 2),
-        )
-        sem_ds.materialize()
+        semantic_pages(pages_path, batch_size=16).materialize()
         timings[f"semantic_{n_pages // 1000}k"] = round(time.perf_counter() - t0, 3)
 
         timed("doc_stats", doc_stats)
@@ -243,8 +221,7 @@ def run_scaling() -> dict:
     (SMT/turbo frequency effects), i.e. the top half of the box cannot be
     linear for ANY workload; 4->16 stays in the near-linear region, which
     is also the honest stand-in for N->4N separate NODES (cluster nodes do
-    not share SMT siblings or a turbo budget). Pool ratio 6/8 makes both
-    legs run exactly 4x actors and 4x io lanes."""
+    not share SMT siblings or a turbo budget)."""
     lo, hi = 4, 16
     n_pages = int(os.environ.get("BENCH_SCALING_PAGES", "300000"))
     n_rounds = int(os.environ.get("BENCH_SCALING_ROUNDS", "2"))
@@ -256,7 +233,6 @@ def run_scaling() -> dict:
             BENCH_HEADLINE_ONLY="1",
             BENCH_N_PAGES=str(n_pages),
             BENCH_WARMUP="1",
-            BENCH_POOL_NUM="6",
         )
         out = subprocess.run(
             [sys.executable, os.path.abspath(__file__)],

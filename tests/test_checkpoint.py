@@ -350,9 +350,9 @@ def _wait_for_free_cpus(what):
 
 
 def test_waves_release_their_cpus_on_return(ray_session, pages_dir, tmp_path):
-    """Each wave's actors give their CPUs back by the time run_resumable
+    """Each call's tasks give their CPUs back by the time run_resumable
     returns: no waiting for a garbage collection that the caller would
-    have to trigger. Three back-to-back calls, one CPU per actor."""
+    have to trigger. Three back-to-back calls, one CPU per task."""
     cfg = ExtractConfig(detect_concurrency=1, detect_batch_size=16)
     for k in range(3):
         run_resumable(pages_dir, str(tmp_path / f"out{k}"), cfg, wave_files=2, max_waves=2)

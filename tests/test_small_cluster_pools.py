@@ -1,7 +1,10 @@
-"""The three page pipelines finish with their default actor pools on one- and
-two-CPU clusters: the pool is sized from the cluster, so the read and the
-write always keep a CPU. Each cluster size runs in a fresh process with its
-own Ray session and a deadline; a pool that starves the read never ends."""
+"""The page pipelines finish on one- and two-CPU clusters and give every CPU
+back when they return. Each cluster size runs in a fresh process with its
+own Ray session and a deadline, from a temporary working directory, so the
+workers import the engine from ``PYTHONPATH`` alone. ``extract_pages`` runs
+twice with different reading orders, and each result must equal the
+single-process oracle with that setting: no stage state may carry over
+from one Dataset to the next."""
 
 import os
 import signal
@@ -15,29 +18,64 @@ DEADLINE_S = 90
 
 SCRIPT = r"""
 import sys
+import time
+
+import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
 ray.init(address="local", num_cpus=int(sys.argv[1]), include_dashboard=False, logging_level="ERROR")
-from yomitoku_ray.pipelines.extract import extract_pages
+from yomitoku_ray.oracle import analyze_html_bytes
+from yomitoku_ray.pipelines.extract import ExtractConfig, extract_pages
 from yomitoku_ray.pipelines.ocr import ocr_pages
 from yomitoku_ray.pipelines.semantic import semantic_pages
 from yomitoku_ray.synth.pages import generate_pages_table
 
+
+def held_cpus_after(seconds):
+    total = ray.cluster_resources()["CPU"]
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        free = ray.available_resources().get("CPU", 0.0)
+        if free >= total:
+            return 0.0
+        time.sleep(0.1)
+    return total - free
+
+
+def oracle_mismatches(rows, reading_order):
+    bad = 0
+    for row in rows:
+        cols, err = analyze_html_bytes(pages[row["url"]] or b"", row["url"], reading_order=reading_order)
+        bad += row["error"] != err or any(row[k] != v for k, v in cols.items())
+    return bad
+
+
 path = sys.argv[2]
-pq.write_table(generate_pages_table(50), path)
-for name, build in (("extract", extract_pages), ("semantic", semantic_pages), ("ocr", ocr_pages)):
-    df = build(path).to_pandas()
-    print("ROWS", name, len(df), int(df["error"].isna().sum()), flush=True)
+table = generate_pages_table(50)
+pq.write_table(table, path)
+pages = dict(zip(table.column("url").to_pylist(), table.column("html").to_pylist()))
+runs = [
+    ("extract-auto", lambda: extract_pages(path, ExtractConfig(reading_order="auto"))),
+    ("extract-right2left", lambda: extract_pages(path, ExtractConfig(reading_order="right2left"))),
+    ("semantic", lambda: semantic_pages(path)),
+    ("ocr", lambda: ocr_pages(path)),
+]
+for name, build in runs:
+    rows = pa.concat_tables(ray.get(build().to_arrow_refs())).to_pylist()
+    held = held_cpus_after(2.0)
+    bad = oracle_mismatches(rows, name.split("-")[1]) if name.startswith("extract") else 0
+    n_ok = sum(row["error"] is None for row in rows)
+    print("ROWS", name, len(rows), n_ok, held, bad, flush=True)
 ray.shutdown()
 """
 
 
 @pytest.mark.parametrize("num_cpus", [1, 2])
-def test_default_pools_finish_on_a_small_cluster(num_cpus, tmp_path):
+def test_page_pipelines_finish_on_a_small_cluster(num_cpus, tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-c", SCRIPT, str(num_cpus), str(tmp_path / "pages.parquet")],
-        cwd=REPO,
+        cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": REPO},
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -54,6 +92,8 @@ def test_default_pools_finish_on_a_small_cluster(num_cpus, tmp_path):
     rows = {
         line.split()[1]: line.split()[2:] for line in out.splitlines() if line.startswith("ROWS ")
     }
-    for name in ("extract", "semantic", "ocr"):
-        n_rows, n_ok = map(int, rows[name])
-        assert n_rows == 50 and n_ok >= 45, (name, rows[name])
+    for name in ("extract-auto", "extract-right2left", "semantic", "ocr"):
+        n_rows, n_ok, held, bad = rows[name]
+        assert int(n_rows) == 50 and int(n_ok) >= 45, (name, rows[name])
+        assert float(held) == 0.0, f"{name}: {held} CPUs still held 2 s after it returned"
+        assert int(bad) == 0, f"{name}: {bad} rows differ from the oracle"

@@ -31,8 +31,20 @@ def test_html_metadata_title_and_links():
     assert ("A@/href", "/a") in paths
     assert ("A@/href", "/b") in paths
     assert ("IMG@/src", "/i.png") in paths
-    assert ("LINK@/href", "/s.css") in paths
+    assert meta["Head"]["Link"] == [{"path": "LINK@/href", "url": "/s.css"}]
     assert all(l["url"] for l in meta["Links"])  # empty href skipped
+
+
+def test_html_metadata_head_link_goes_under_head():
+    """CC's envelope: a head <link> under Head.Link, body links under Links."""
+    meta = html_metadata(
+        b"<html><head><link rel='stylesheet' href='/s.css'></head>"
+        b"<body><a href='/a'>x</a></body></html>"
+    )
+    assert meta == {
+        "Head": {"Link": [{"path": "LINK@/href", "url": "/s.css"}]},
+        "Links": [{"path": "A@/href", "url": "/a"}],
+    }
 
 
 def test_html_metadata_garbage_is_empty():

@@ -47,7 +47,7 @@ def test_warc_extract_wet_chain(ray_session, tmp_path):
     out = build_extract_pipeline(src, ExtractConfig())
     wet_dir = str(tmp_path / "wet")
     # CC omits unextractable responses from WET: drop error rows upstream.
-    write_wet(out.filter(lambda r: r["error"] is None), wet_dir)
+    write_wet(out.filter(expr="is_null(error)"), wet_dir)
 
     files = glob.glob(f"{wet_dir}/*.warc.wet.gz")
     assert files, "no WET files written"

@@ -106,7 +106,7 @@ def cmd_crawl(args):
     if args.wet:
         from .export.wet import write_wet
 
-        write_wet(out.filter(lambda r: r["error"] is None), args.output)
+        write_wet(out.filter(expr="is_null(error)"), args.output)
     else:
         out.write_parquet(args.output)
     print(

@@ -38,13 +38,28 @@ from ..sources.warc import (
 )
 from .wet import _ts_us_of
 
-# (tag, attribute) pairs harvested into Links, in document order — the
-# three CC WAT emits for HTML bodies.
+# (tag, attribute) pairs harvested as links, in document order — the three
+# CC WAT emits. A ``<link>`` inside ``<head>`` goes to ``Head.Link``, as in
+# CC's envelope; every other one goes to ``Links``.
 _LINK_ATTRS = (("a", "href"), ("img", "src"), ("link", "href"))
 
 
+def _in_head(node) -> bool:
+    while node is not None:
+        if node.tag == "head":
+            return True
+        node = node.parent
+    return False
+
+
+def all_links(meta: dict) -> list[dict]:
+    """Every link of an ``HTML-Metadata`` sub-envelope: head, then body."""
+    return meta.get("Head", {}).get("Link", []) + meta.get("Links", [])
+
+
 def html_metadata(html: bytes) -> dict:
-    """``HTML-Metadata`` sub-envelope for one page: head title + links.
+    """``HTML-Metadata`` sub-envelope for one page: head title and links,
+    body links.
 
     Decode/parse failures return ``{}`` — the WAT record still frames the
     WARC/HTTP metadata, mirroring CC's behavior for non-HTML payloads (the
@@ -55,11 +70,11 @@ def html_metadata(html: bytes) -> dict:
         root = parse_html(decode_html(html))
     except Exception:  # DecodeError, parser errors: non-HTML payload
         return {}
-    meta: dict = {}
+    head: dict = {}
     titles = root.find_all("title")
     if titles:
-        meta["Head"] = {"Title": titles[0].text_content()}
-    links = []
+        head["Title"] = titles[0].text_content()
+    head_links, links = [], []
     want = {t: a for t, a in _LINK_ATTRS}
     for node in root.iter():
         attr = want.get(node.tag)
@@ -67,7 +82,13 @@ def html_metadata(html: bytes) -> dict:
             continue
         url = node.attr(attr)
         if url:
-            links.append({"path": f"{node.tag.upper()}@/{attr}", "url": url})
+            link = {"path": f"{node.tag.upper()}@/{attr}", "url": url}
+            (head_links if node.tag == "link" and _in_head(node) else links).append(link)
+    if head_links:
+        head["Link"] = head_links
+    meta: dict = {}
+    if head:
+        meta["Head"] = head
     if links:
         meta["Links"] = links
     return meta
@@ -223,7 +244,7 @@ def read_wat(paths, *, batch_rows: int = 256):
                 .get("HTML-Metadata", {})
             )
             titles.append(hm.get("Head", {}).get("Title"))
-            n_links.append(len(hm.get("Links", [])))
+            n_links.append(len(all_links(hm)))
         return pa.table(
             {
                 "url": pa.array([r["url"] for r in rows], pa.string()),

@@ -24,7 +24,7 @@ from urllib.parse import urljoin, urlsplit
 import pandas as pd
 import ray.data
 
-from ..export.wat import html_metadata
+from ..export.wat import all_links, html_metadata
 
 
 def _host_of(url: str) -> str:
@@ -39,7 +39,7 @@ def page_out_edges(url: str, html: bytes | None) -> dict[str, int]:
     if not html:
         return {}
     counts: dict[str, int] = {}
-    for link in html_metadata(bytes(html)).get("Links", []):
+    for link in all_links(html_metadata(bytes(html))):
         try:
             dst = _host_of(urljoin(url, link["url"]))
         except ValueError:

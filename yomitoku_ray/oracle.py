@@ -10,7 +10,7 @@ to byte identity per the north rule).
 
 The per-page bodies are the stages' ``extract_document`` and
 ``semantic_document``; the oracle runs them on a fresh engine for every
-page, where an actor reuses one engine for all of its pages.
+page, where a stage reuses one engine for all the pages of its batch.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ shards come out, without any driver-side materialization of page or
 document payloads:
 
     read_parquet (column-pruned)
-      -> FusedExtractStage actor pool        (extract.py, per-page)
+      -> FusedExtractStage tasks             (extract.py, per-page)
       -> per-batch clean + quality signals   (vectorized, no shuffle)
       -> ONE digest-bucket shuffle           (exact dedup, first url wins)
       -> write_parquet shards / summary
@@ -61,7 +61,7 @@ class CorpusConfig:
     # the cheapest possible language gate at 100 TB
     langs: tuple[str, ...] | None = None
     # RefinedWeb-style URL gate (functions/merge.url_keep_mask): applied
-    # to the SOURCE before the extraction pool, so blocklisted or
+    # to the SOURCE before the extraction stage, so blocklisted or
     # digit-heavy pages never pay an html decode. The mask reads only the
     # url column; the filter is a zero-copy pyarrow take.
     url_filter: bool = False
@@ -164,8 +164,8 @@ def build_corpus(pages_path: str, cfg: CorpusConfig | None = None) -> ray.data.D
             StreamingDedupFilter,
             fn_constructor_kwargs={"index_handles": idx, "column": "digest"},
             batch_format="pyarrow",
-            # elastic (min 1): a fixed pool can deadlock against the
-            # upstream extract pool on small CPU budgets
+            # elastic (min 1): a fixed pool can take every CPU from the
+            # upstream extract tasks on small CPU budgets
             concurrency=(1, 4),
         )
     return cleaned.groupby("bucket").map_groups(_dedup_bucket, batch_format="pandas")

@@ -1,15 +1,16 @@
 """The flagship extraction pipeline.
 
-read_parquet(pages) -> FusedExtractStage (actor pool)
+read_parquet(pages) -> FusedExtractStage (Ray tasks)
 [-> checkpointed partitioned parquet sink]
 
 Shape per SURVEY.md §7.1. Scale posture:
 - the read prunes to the columns the pipeline needs (url, warc_ts, html,
   lang) — ``text`` never leaves storage;
-- decode, detect, aggregate and render run per page inside one actor call
+- decode, detect, aggregate and render run per page inside one task
   (``stages.fused_stage.extract_document``), so the html blob and the
   detection structs never cross a stage boundary: only the final output
-  columns leave the actor;
+  columns leave the task, and with no concurrency cap Ray fuses that task
+  with the write after it;
 - no shuffle anywhere in the per-document path (all joins are intra-row);
   the only wide operation the engine ever needs (multi-page merge / url
   dedup) lives in ``yomitoku_ray.functions.dedup`` with salted keys;
@@ -30,18 +31,17 @@ PAGES_COLUMNS = ["url", "warc_ts", "html", "lang"]
 
 @dataclass
 class ExtractConfig:
-    # Actor pool of the fused extraction stage (detection is its heavy part,
-    # hence the names): a size or a (min, max) autoscaling range per the
-    # ActorPoolStrategy idiom; None sizes it from the cluster
-    # (``map_page_stage``).
-    detect_concurrency: int | tuple | None = None
+    # Cap on the concurrent tasks of the fused extraction stage (detection
+    # is its heavy part, hence the names); None sets no cap, so the stage
+    # fuses with the task operators after it (``map_page_stage``).
+    detect_concurrency: int | None = None
     detect_batch_size: int = 64
     reading_order: str = "auto"
     ignore_meta: bool = False
     ignore_ruby: bool = False
     # Read parallelism: blocks per input (None = Ray default). The pages
-    # parquet has few large files; splitting blocks finer keeps the actor
-    # pool saturated.
+    # parquet has few large files; splitting blocks finer gives the stage
+    # more tasks to run in parallel.
     read_num_blocks: int | None = None
 
 

@@ -28,7 +28,7 @@ OCR_RESULT_SCHEMA = pa.schema(
 
 
 class OcrStage(PageStage):
-    """Actor stage: html -> word stream (det⋈rec output shape)."""
+    """Page stage: html -> word stream (det⋈rec output shape)."""
 
     schema = OCR_RESULT_SCHEMA
     empty_row = {"words": [], "n_words": 0, "content": ""}
@@ -43,8 +43,8 @@ class OcrStage(PageStage):
         }
 
 
-def ocr_pages(path, concurrency=None, batch_size=32) -> ray.data.Dataset:
-    """read -> OCR word stream, lazy Dataset; ``concurrency=None`` sizes the
-    actor pool from the cluster (``map_page_stage``)."""
+def ocr_pages(path, concurrency: int | None = None, batch_size=32) -> ray.data.Dataset:
+    """read -> OCR word stream, lazy Dataset; ``concurrency`` caps the
+    stage's concurrent tasks (``map_page_stage``)."""
     ds = ray.data.read_parquet(path, columns=list(PAGES_COLUMNS))
     return map_page_stage(ds, OcrStage, batch_size=batch_size, concurrency=concurrency)

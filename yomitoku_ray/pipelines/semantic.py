@@ -12,12 +12,12 @@ from .extract import PAGES_COLUMNS
 def semantic_pages(
     path,
     extraction_schema: dict | None = None,
-    concurrency=None,
+    concurrency: int | None = None,
     batch_size: int = 32,
     merge_same_column_values: bool = False,
 ) -> ray.data.Dataset:
     """read -> semantic parse [-> rule extraction], lazy Dataset;
-    ``concurrency=None`` sizes the actor pool from the cluster."""
+    ``concurrency`` caps the stage's concurrent tasks (``map_page_stage``)."""
     ds = ray.data.read_parquet(path, columns=list(PAGES_COLUMNS))
     return map_page_stage(
         ds,

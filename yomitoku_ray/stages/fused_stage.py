@@ -1,9 +1,9 @@
-"""Fused extraction stage: html bytes -> final output columns in one actor.
+"""Fused extraction stage: html bytes -> final output columns in one task.
 
 The reference runs its four models plus aggregation per page inside one call
 (document_analyzer.py:603-634); ``extract_document`` is that call here, the
-one implementation of decode -> detect -> aggregate -> render. The actor
-stage maps it over a batch with its long-lived engine, and the
+one implementation of decode -> detect -> aggregate -> render. The stage
+maps it over a batch with one engine for the whole batch, and the
 single-process oracle (``oracle.analyze_html_bytes``) calls it with a fresh
 engine per page, so the byte-identity gates catch any engine state that
 leaks from one page into the next.
@@ -50,7 +50,7 @@ def extract_document(
 
 
 class FusedExtractStage(PageStage):
-    """``extract_document`` per row, one actor pool, ``RESULT_SCHEMA`` out."""
+    """``extract_document`` per row, ``RESULT_SCHEMA`` out."""
 
     schema = RESULT_SCHEMA
     empty_row = {

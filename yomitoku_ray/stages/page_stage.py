@@ -1,4 +1,4 @@
-"""The frame every page stage shares: one actor, one engine, one row loop.
+"""The frame every page stage shares: one engine, one row loop per batch.
 
 The reference analyzes a page in one call and turns its failure into an
 error row (``cli/main.py:548-549``). The extract, semantic and OCR stages
@@ -6,7 +6,7 @@ differ only in that call and in their output columns, so each supplies its
 ``schema``, its ``empty_row`` and a per-page ``page(raw, url)``; the engine,
 the loop over ``html``, the error-row policy, the pass-through columns and
 the Arrow assembly live here. ``map_page_stage`` attaches a stage to a
-Dataset with an actor pool sized from the cluster.
+Dataset as stateless Ray tasks, each building a fresh stage for its batch.
 """
 
 from __future__ import annotations
@@ -82,25 +82,28 @@ class PageStage:
         return table
 
 
+def _run_stage(batch: pa.Table, stage: type[PageStage], kwargs: dict) -> pa.Table:
+    return stage(**kwargs)(batch)
+
+
 def map_page_stage(
     ds: ray.data.Dataset,
     stage: type[PageStage],
     constructor_kwargs: dict | None = None,
     batch_size: int = 32,
-    concurrency: int | tuple | None = None,
+    concurrency: int | None = None,
 ) -> ray.data.Dataset:
-    """Attach ``stage`` to ``ds`` as an actor pool (lazy).
+    """Attach ``stage`` to ``ds`` as a task-pool ``map_batches`` (lazy).
 
-    With C cluster CPUs the pool is ``concurrency`` or, when that is None,
-    ``(1, max(1, C - 1))`` actors, so read and write tasks always keep a
-    CPU; each actor reserves one CPU, or none on a one-CPU cluster, where
-    a reserving actor would leave the read nothing to run on."""
-    cpus = int(ray.cluster_resources().get("CPU", 1))
+    Each task builds ``stage(**constructor_kwargs)`` for its batch (a few
+    µs, against hundreds of ms for the batch), so no state outlives a
+    batch and no actor holds a CPU between Datasets. ``concurrency`` caps
+    the concurrent tasks; None sets no cap, which lets Ray fuse the stage
+    with the task operators after it."""
     return ds.map_batches(
-        stage,
-        fn_constructor_kwargs=constructor_kwargs,
+        _run_stage,
+        fn_kwargs={"stage": stage, "kwargs": constructor_kwargs or {}},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency or (1, max(1, cpus - 1)),
-        num_cpus=1 if cpus >= 2 else 0,
+        concurrency=concurrency,
     )

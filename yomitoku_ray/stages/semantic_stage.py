@@ -1,12 +1,12 @@
-"""Semantic parsing + rule extraction as a Ray Data actor stage.
+"""Semantic parsing + rule extraction as a Ray Data page stage.
 
 The TableSemanticParser pipeline (A5/T1-T7) + the rule extraction cascade
 (E1-E4) fused per row (same rationale as the fused extract stage).
-``semantic_document`` is the one per-page parse: the actor calls it with its
-long-lived engine, the single-process oracle
+``semantic_document`` is the one per-page parse: the stage calls it with
+one engine per batch, the single-process oracle
 (``oracle.parse_semantic_html_bytes``) with a fresh engine per page. The
-extraction schema is broadcast once per actor via constructor kwargs — the
-small-side broadcast pattern (no shuffle).
+extraction schema reaches every task through the stage's constructor
+kwargs — the small-side broadcast pattern (no shuffle).
 """
 
 from __future__ import annotations

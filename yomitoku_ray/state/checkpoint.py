@@ -7,13 +7,13 @@ files, cli/main.py:140-143); the north rule requires a killed
 - the unit of commit is a **wave**: a deterministic chunk of the sorted
   input file list. A wave is a commit boundary, not an execution one: each
   ``run_resumable`` call claims its waves, then runs ONE streaming
-  extraction Dataset over all of their files, so the actor pool starts once
-  per call. Rows carry their source file (``include_paths``); a write task
-  puts each block's rows, split by file, as parquet parts into their wave's
-  ``data/wave-<k>.tmp-*`` dir and returns one stats row per part. The
-  driver reads those stats in input order and commits a wave as soon as
-  the stream has moved past its files (or ends): atomic ``os.replace`` to
-  ``data/wave-<k>`` -> manifest JSON written tmp+rename -> claim released.
+  extraction Dataset over all of their files. Rows carry their source file
+  (``include_paths``); a write task puts each block's rows, split by file,
+  as parquet parts into their wave's ``data/wave-<k>.tmp-*`` dir and
+  returns one stats row per part. The driver reads those stats in input
+  order and commits a wave as soon as the stream has moved past its files
+  (or ends): atomic ``os.replace`` to ``data/wave-<k>`` -> manifest JSON
+  written tmp+rename -> claim released.
   A kill loses only the waves not yet committed.
 - the manifest row carries lineage (input files + sizes, engine version)
   and metrics (row count, error/truncated counts, output bytes, and wall
@@ -46,7 +46,6 @@ regardless of wave boundaries.
 from __future__ import annotations
 
 import contextlib
-import gc
 import glob
 import hashlib
 import json
@@ -367,33 +366,6 @@ def _commit_wave(out_root: str, wave: _Wave, wall_sec: float) -> None:
         os.unlink(_claim_path(out_root, wave.name))
 
 
-def _drop_frame_locals(err: BaseException) -> None:
-    """Clear the locals of every finished frame that ``err``'s traceback
-    chain reaches, callers included.
-
-    Ray Data's frames on that chain hold the failed executor's actor pool
-    (e.g. a ``process_completed_tasks`` frame behind the chained
-    ``StopIteration``), so while the caller keeps the error, no collection
-    can free the actors and their CPUs, and a retry in this process waits
-    for them. Tracebacks still print: they need no frame locals."""
-    errors, seen = [err], set()
-    while errors:
-        exc = errors.pop()
-        if exc is None or id(exc) in seen:
-            continue
-        seen.add(id(exc))
-        errors += [exc.__cause__, exc.__context__]
-        tb = exc.__traceback__
-        while tb is not None:
-            frame = tb.tb_frame
-            while frame is not None and id(frame) not in seen:
-                seen.add(id(frame))
-                with contextlib.suppress(RuntimeError):  # still executing
-                    frame.clear()
-                frame = frame.f_back
-            tb = tb.tb_next
-
-
 def _run_waves(out_root: str, waves: list[_Wave], cfg: ExtractConfig, summary: dict) -> None:
     """One extraction Dataset over all of ``waves``' files. A wave commits,
     in input order, when the first part of a later wave arrives or the
@@ -439,9 +411,6 @@ def _run_waves(out_root: str, waves: list[_Wave], cfg: ExtractConfig, summary: d
                 wave.add(part)
         while pending:
             commit_first()
-    except BaseException as err:
-        _drop_frame_locals(err)
-        raise
     finally:
         # Stop the stream before its tmp dirs go: closing the iterator ends
         # its prefetch threads, and freeing the Dataset shuts its executor
@@ -449,15 +418,7 @@ def _run_waves(out_root: str, waves: list[_Wave], cfg: ExtractConfig, summary: d
         # write fails on a removed dir and its error reaches a prefetch
         # thread that can no longer report it.
         batches.close()
-        # The actors hold their CPUs until their ActorHandles are freed, and
-        # each handle sits in a reference cycle inside Ray (the handle <->
-        # its ActorMethod objects; the ActorPoolMapOperator is in another,
-        # through the ray_remote_args_fn closure that Ray Data's
-        # ConfigureMapTaskMemoryRule binds to it). Reference counting never
-        # frees them, so without a collection here the caller's next
-        # Dataset waits for CPUs until the collector happens to run.
         del batches, ds
-        gc.collect()
         for wave in pending:
             shutil.rmtree(wave.tmp_dir, ignore_errors=True)
             with contextlib.suppress(OSError):
