@@ -330,11 +330,7 @@ def _image_dhash(sf_dir: str) -> pd.DataFrame:
     )
     base = ray.data.read_parquet(ensure_images_parquet(sf_dir))
     ds = base.union(ray.data.from_arrow(planted)).map_batches(
-        ImageDHashStage,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=2,
-        num_cpus=0.5,
+        ImageDHashStage(), batch_format="pyarrow", batch_size=64
     )
     # Decode ONCE: the (img_id, dhash, error) projection is images-table
     # sized (two ints + a flag per image), so collect it and feed the pair
@@ -409,11 +405,7 @@ def _audio_fingerprint(sf_dir: str) -> pd.DataFrame:
         ensure_audio_parquet(sf_dir), columns=["clip_id", "audio", "kind"]
     )
     ds = base_ds.union(ray.data.from_arrow(planted)).map_batches(
-        AudioFingerprintStage,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=2,
-        num_cpus=0.5,
+        AudioFingerprintStage(), batch_format="pyarrow", batch_size=64
     )
     fp_df = ds.select_columns(["clip_id", "audio_fp", "fp_error"]).to_pandas()
     okd = fp_df[fp_df["fp_error"].isna()][["clip_id", "audio_fp"]]
@@ -506,9 +498,7 @@ def _video_dhash(sf_dir: str) -> pd.DataFrame:
     ds = (
         ray.data.read_parquet(ensure_videos_parquet(sf_dir))
         .union(ray.data.from_arrow(planted))
-        .map_batches(
-            _mid_frame_dhash, batch_format="pyarrow", batch_size=16, num_cpus=0.5
-        )
+        .map_batches(_mid_frame_dhash, batch_format="pyarrow", batch_size=16)
     )
     df = ds.select_columns(["vid_id", "vhash", "vhash_error"]).to_pandas()
     okd = df[df["vhash_error"].isna()][["vid_id", "vhash"]]
@@ -650,7 +640,7 @@ def _paged_extract(sf_dir: str) -> pd.DataFrame:
 def _image_features_summary(sf_dir: str) -> pd.DataFrame:
     """Multimodal pipeline over the synthesized images table: header-sniff
     metadata + REAL pixel decode (PNG/GIF, repo-native codecs) + features,
-    one actor-pool pass each; junk rows isolate per-row. Rows-only check
+    one task pass each; junk rows isolate per-row. Rows-only check
     (pixel decode has no SQL form); exact feature values are pinned by
     pytest against analytically-known images."""
     import ray.data
@@ -658,20 +648,10 @@ def _image_features_summary(sf_dir: str) -> pd.DataFrame:
     from yomitoku_ray.stages.multimodal import ImageFeatureStage, ImageMetaStage
     from yomitoku_ray.synth.images import ensure_images_parquet
 
-    # num_cpus=0.5 per actor: two small stages must co-schedule with read
-    # tasks even in a 4-cpu test session (full-reservation would starve the
-    # read and wedge the pipeline).
     ds = ray.data.read_parquet(ensure_images_parquet(sf_dir))
+    ds = ds.map_batches(ImageMetaStage(), batch_format="pyarrow", batch_size=64)
     ds = ds.map_batches(
-        ImageMetaStage, batch_format="pyarrow", batch_size=64, concurrency=2, num_cpus=0.5
-    )
-    ds = ds.map_batches(
-        ImageFeatureStage,
-        fn_constructor_kwargs={"backend_mode": "fake"},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=2,
-        num_cpus=0.5,
+        ImageFeatureStage(backend_mode="fake"), batch_format="pyarrow", batch_size=64
     )
     rows = ds.take_all()
     out = pd.DataFrame(
@@ -977,7 +957,7 @@ def _warc_roundtrip(sf_dir: str, n_pages: int = 500) -> pd.DataFrame:
 def _video_frames_summary(sf_dir: str) -> pd.DataFrame:
     """Multimodal video pipeline over the synthesized MJPEG-AVI table:
     container index walk (no decode) + per-sampled-frame JPEG decode and
-    luma features in an actor pool; junk rows isolate per-row. Rows-only
+    luma features in one task pass; junk rows isolate per-row. Rows-only
     check; exact per-frame values are pinned by pytest against analytic
     ground truth (flat frames decode exactly)."""
     import ray.data
@@ -986,13 +966,7 @@ def _video_frames_summary(sf_dir: str) -> pd.DataFrame:
     from yomitoku_ray.synth.videos import ensure_videos_parquet
 
     ds = ray.data.read_parquet(ensure_videos_parquet(sf_dir))
-    ds = ds.map_batches(
-        VideoFrameFeatureStage,
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=2,
-        num_cpus=0.5,
-    )
+    ds = ds.map_batches(VideoFrameFeatureStage(), batch_format="pyarrow", batch_size=32)
     out = ds.to_pandas().sort_values(["vid_id", "frame_idx"]).reset_index(drop=True)
 
     # Self-checking gate (VERDICT r4 #5): clips are pure functions of
@@ -1033,7 +1007,7 @@ def _video_frames_summary(sf_dir: str) -> pd.DataFrame:
 
 def _audio_features_summary(sf_dir: str) -> pd.DataFrame:
     """Audio pipeline over the synthesized WAV table: real PCM decode +
-    RMS/ZCR/rFFT features in one actor-pool pass; junk rows isolate
+    RMS/ZCR/rFFT features in one task pass; junk rows isolate
     per-row. Rows-only check (no SQL FFT); tests pin dominant frequencies
     against the generator's analytic ground truth."""
     import ray.data
@@ -1042,9 +1016,7 @@ def _audio_features_summary(sf_dir: str) -> pd.DataFrame:
     from yomitoku_ray.synth.audio import ensure_audio_parquet
 
     ds = ray.data.read_parquet(ensure_audio_parquet(sf_dir))
-    ds = ds.map_batches(
-        AudioFeatureStage, batch_format="pyarrow", batch_size=64, concurrency=2, num_cpus=0.5
-    )
+    ds = ds.map_batches(AudioFeatureStage(), batch_format="pyarrow", batch_size=64)
     rows = ds.take_all()
     out = pd.DataFrame(
         {

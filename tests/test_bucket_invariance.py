@@ -108,6 +108,12 @@ def test_resolve_mask_rules(tmp_path):
             ).event_pagerank(SF, n_buckets=n),
             id="event_pagerank",
         ),
+        pytest.param(
+            lambda n: __import__(
+                "yomitoku_ray.functions.dedup", fromlist=["shuffle_rank"]
+            ).shuffle_rank(SF, n_buckets=n),
+            id="shuffle_rank",
+        ),
     ],
 )
 def test_bucket_count_invariance(ray_session, make):

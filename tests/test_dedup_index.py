@@ -24,12 +24,7 @@ def test_streaming_dedup_exact_one_survivor(ray_session):
     idx = create_dedup_index(n_shards=4)
     out = (
         _dup_ds()
-        .map_batches(
-            StreamingDedupFilter,
-            fn_constructor_kwargs={"index_handles": idx},
-            batch_format="pyarrow",
-            concurrency=3,
-        )
+        .map_batches(StreamingDedupFilter(idx), batch_format="pyarrow", concurrency=3)
         .to_pandas()
     )
     assert len(out) == 200
@@ -42,13 +37,9 @@ def test_streaming_dedup_state_persists_across_runs(ray_session):
     # the index outlives a Dataset execution: a second ingest of the
     # same corpus drops EVERYTHING (incremental-crawl semantics)
     idx = create_dedup_index(n_shards=2)
-    kw = dict(
-        fn_constructor_kwargs={"index_handles": idx},
-        batch_format="pyarrow",
-        concurrency=2,
-    )
-    first = _dup_ds(50, 1, 4).map_batches(StreamingDedupFilter, **kw).count()
-    second = _dup_ds(50, 1, 4).map_batches(StreamingDedupFilter, **kw).count()
+    kw = dict(batch_format="pyarrow", concurrency=2)
+    first = _dup_ds(50, 1, 4).map_batches(StreamingDedupFilter(idx), **kw).count()
+    second = _dup_ds(50, 1, 4).map_batches(StreamingDedupFilter(idx), **kw).count()
     assert first == 50
     assert second == 0
 
@@ -57,12 +48,7 @@ def test_streaming_dedup_bloom_no_false_negatives(ray_session):
     idx = create_dedup_index(n_shards=2, mode="bloom", bloom_bits=1 << 20)
     out = (
         _dup_ds(300, 2, 8)
-        .map_batches(
-            StreamingDedupFilter,
-            fn_constructor_kwargs={"index_handles": idx},
-            batch_format="pyarrow",
-            concurrency=2,
-        )
+        .map_batches(StreamingDedupFilter(idx), batch_format="pyarrow", concurrency=2)
         .to_pandas()
     )
     # duplicates NEVER survive (no false negatives); a few uniques may be

@@ -1,10 +1,13 @@
-"""The page pipelines finish on one- and two-CPU clusters and give every CPU
-back when they return. Each cluster size runs in a fresh process with its
-own Ray session and a deadline, from a temporary working directory, so the
-workers import the engine from ``PYTHONPATH`` alone. ``extract_pages`` runs
-twice with different reading orders, and each result must equal the
-single-process oracle with that setting: no stage state may carry over
-from one Dataset to the next."""
+"""The page pipelines and the streaming-dedup corpus build finish on one- and
+two-CPU clusters and give every CPU back when they return, and when a
+downstream stage raises and the caller keeps the exception. Each cluster
+size runs in a fresh process with its own Ray session and a deadline, from
+a temporary working directory, so the workers import the engine from
+``PYTHONPATH`` alone. ``extract_pages`` runs twice with different reading
+orders, and each result must equal the single-process oracle with that
+setting: no stage state may carry over from one Dataset to the next. The
+streaming-dedup build must keep one row per digest, as many as the
+digest-shuffle build keeps."""
 
 import os
 import signal
@@ -26,6 +29,7 @@ import ray
 
 ray.init(address="local", num_cpus=int(sys.argv[1]), include_dashboard=False, logging_level="ERROR")
 from yomitoku_ray.oracle import analyze_html_bytes
+from yomitoku_ray.pipelines.corpus import CorpusConfig, build_corpus
 from yomitoku_ray.pipelines.extract import ExtractConfig, extract_pages
 from yomitoku_ray.pipelines.ocr import ocr_pages
 from yomitoku_ray.pipelines.semantic import semantic_pages
@@ -67,6 +71,23 @@ for name, build in runs:
     bad = oracle_mismatches(rows, name.split("-")[1]) if name.startswith("extract") else 0
     n_ok = sum(row["error"] is None for row in rows)
     print("ROWS", name, len(rows), n_ok, held, bad, flush=True)
+
+rows = pa.concat_tables(ray.get(build_corpus(path, CorpusConfig(streaming_dedup=True)).to_arrow_refs())).to_pylist()
+held = held_cpus_after(2.0)
+n_digests = len({row["digest"] for row in rows})
+print("ROWS", "corpus", len(rows), n_digests, build_corpus(path).count(), held, flush=True)
+
+
+def fail(batch):
+    raise RuntimeError("downstream stage failed")
+
+
+kept = None
+try:
+    build_corpus(path, CorpusConfig(streaming_dedup=True)).map_batches(fail).materialize()
+except Exception as e:
+    kept = e
+print("ROWS", "raised", type(kept).__name__, held_cpus_after(2.0), flush=True)
 ray.shutdown()
 """
 
@@ -97,3 +118,9 @@ def test_page_pipelines_finish_on_a_small_cluster(num_cpus, tmp_path):
         assert int(n_rows) == 50 and int(n_ok) >= 45, (name, rows[name])
         assert float(held) == 0.0, f"{name}: {held} CPUs still held 2 s after it returned"
         assert int(bad) == 0, f"{name}: {bad} rows differ from the oracle"
+    n_rows, n_digests, n_shuffle_dedup, held = rows["corpus"]
+    assert 0 < int(n_rows) == int(n_digests) == int(n_shuffle_dedup), rows["corpus"]
+    assert float(held) == 0.0, f"corpus: {held} CPUs still held 2 s after it returned"
+    kept, held = rows["raised"]
+    assert kept != "NoneType", "the raising stage did not raise"
+    assert float(held) == 0.0, f"corpus after a kept error: {held} CPUs still held 2 s later"

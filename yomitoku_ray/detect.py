@@ -206,7 +206,7 @@ class BoilerplateClassifier:
     """Link-density / text-density boilerplate classifier.
 
     Deterministic stand-in for the learned layout model's noise classes —
-    the feature thresholds are the 'weights' loaded once per actor. A block
+    the feature thresholds stand in for the model's weights. A block
     is boilerplate (dropped from the page) when it is navigation-shaped:
     mostly link text, little prose.
     """

@@ -1,8 +1,8 @@
 """YAML-driven extraction schema.
 
 Parity with ``/root/reference/src/yomitoku/extractor/schema.py:7-58`` (same
-field names/defaults; pydantic-validated; broadcast to workers via actor
-constructor args).
+field names/defaults; pydantic-validated; shipped to workers with the
+stage's constructor arguments).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Three operators a 100 TB text-corpus run needs between extraction and
 training:
 
 - :class:`PatternScrubStage` — vectorized regex redaction (the PII-scrub
-  plumbing: emails, phones, IPv4 out of the box), an actor-pool
-  ``map_batches`` stage that compiles its patterns once per actor.
+  plumbing: emails, phones, IPv4 out of the box), a ``map_batches``
+  callable that compiles its patterns once, when it is built.
 - :func:`gopher_repetition` — per-document repetition-quality signals in
   the spirit of the Gopher/MassiveText filters (top-word fraction,
   duplicate-bigram fraction) as exact integers, plus a keep flag.
@@ -46,10 +46,10 @@ PII_PATTERNS: dict[str, tuple[str, str]] = {
 
 
 class PatternScrubStage:
-    """Actor-pool ``map_batches`` stage: sequential vectorized regex
-    redaction over one string column.
+    """``map_batches`` callable: sequential vectorized regex redaction over
+    one string column. Pass an instance, so each batch runs as a plain task.
 
-    Patterns are compiled once per actor in ``__init__``; ``__call__``
+    Patterns are compiled once in ``__init__``; ``__call__``
     applies them in insertion order to each batch with pandas ``str``
     kernels (no Python loop over rows). For every pattern ``name`` the
     batch gains an int64 ``n_<name>`` column counting the matches that
@@ -58,9 +58,7 @@ class PatternScrubStage:
 
     Usage::
 
-        ds.map_batches(PatternScrubStage,
-                       fn_constructor_kwargs={"column": "text"},
-                       batch_format="pandas", concurrency=(2, 8))
+        ds.map_batches(PatternScrubStage(column="text"), batch_format="pandas")
     """
 
     def __init__(
@@ -97,13 +95,8 @@ def props_scrub(sf_dir: str) -> pd.DataFrame:
         f"{sf_dir}/events.parquet", columns=["event_type", "props"]
     )
     scrubbed = ds.map_batches(
-        PatternScrubStage,
-        fn_constructor_kwargs={
-            "column": "props",
-            "patterns": {"num": (r"[0-9]+", "<NUM>")},
-        },
+        PatternScrubStage(column="props", patterns={"num": (r"[0-9]+", "<NUM>")}),
         batch_format="pandas",
-        concurrency=(1, 4),
     )
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:

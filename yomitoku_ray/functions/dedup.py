@@ -1088,7 +1088,7 @@ def cross_corpus_near_dup(
     return pairs.map_batches(_xor_sides, batch_format="pandas")
 
 
-def shuffle_rank(sf_dir: str, n_buckets: int = 1024) -> ray.data.Dataset:
+def shuffle_rank(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
     """Deterministic training-order shuffle: every doc's global position
     in the md5-keyed order (tie-break doc_id) — the reproducible
     "shuffle the corpus before packing" step of an LLM data pipeline.
@@ -1102,6 +1102,8 @@ def shuffle_rank(sf_dir: str, n_buckets: int = 1024) -> ray.data.Dataset:
 
     Columns: doc_id, rank (int64, dense 0..n-1).
     """
+    path = f"{sf_dir}/documents.parquet"
+    n_buckets = resolve_mask(n_buckets, paths=path) + 1
     shift = np.uint64(64 - int(np.log2(n_buckets)))
 
     def _key(batch: pa.Table) -> pa.Table:
@@ -1118,9 +1120,9 @@ def shuffle_rank(sf_dir: str, n_buckets: int = 1024) -> ray.data.Dataset:
             }
         )
 
-    keyed = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    ).map_batches(_key, batch_format="pyarrow")
+    keyed = ray.data.read_parquet(path, columns=["doc_id"]).map_batches(
+        _key, batch_format="pyarrow"
+    )
 
     counts = (
         keyed.map_batches(
@@ -1209,7 +1211,7 @@ def hamming_pairs_u64(
 
     Columns out: id_a, id_b, hamming (int64), sorted.
     """
-    mask = resolve_mask(n_buckets) if n_buckets is not None else 1023
+    mask = resolve_mask(n_buckets)
     chunk_bits = 64 // n_chunks
     cmask = _U64((1 << chunk_bits) - 1)
 

@@ -577,7 +577,7 @@ def decode_webp(blob: bytes, max_pixels: int = 1 << 24) -> np.ndarray:
 
     ``max_pixels`` (default 16.7M) bounds the decode: a 30-byte crafted
     blob can claim 16384x16384 and LZ77-expand it, which would pin a
-    pipeline actor for minutes in the per-pixel entropy loop — the same
+    pipeline worker for minutes in the per-pixel entropy loop — the same
     decompression-bomb class as the r3 JPEG accumulator finding. Over
     the cap raises :class:`WebpError` (the per-row error policy)."""
     tag, data = _image_chunk(blob, (b"VP8L", b"VP8 "))

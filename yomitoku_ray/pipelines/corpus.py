@@ -55,7 +55,6 @@ class CorpusConfig:
     # and the index persists across runs (incremental-crawl dedup), at
     # the cost of arrival-order survivor choice and no n_copies column.
     streaming_dedup: bool = False
-    dedup_index_shards: int = 8
     # language allowlist, pushed down INTO the parquet read as a row
     # filter — excluded pages never leave storage (row-group pruning),
     # the cheapest possible language gate at 100 TB
@@ -159,14 +158,9 @@ def build_corpus(pages_path: str, cfg: CorpusConfig | None = None) -> ray.data.D
     if cfg.streaming_dedup:
         from ..state.dedup_index import StreamingDedupFilter, create_dedup_index
 
-        idx = create_dedup_index(n_shards=cfg.dedup_index_shards)
         return cleaned.drop_columns(["bucket"]).map_batches(
-            StreamingDedupFilter,
-            fn_constructor_kwargs={"index_handles": idx, "column": "digest"},
+            StreamingDedupFilter(create_dedup_index(), column="digest"),
             batch_format="pyarrow",
-            # elastic (min 1): a fixed pool can take every CPU from the
-            # upstream extract tasks on small CPU budgets
-            concurrency=(1, 4),
         )
     return cleaned.groupby("bucket").map_groups(_dedup_bucket, batch_format="pandas")
 

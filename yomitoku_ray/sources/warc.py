@@ -840,8 +840,8 @@ def read_warc_split(
                     ):
                         out_rows.append(row)
                         # batch_rows-sized Arrow blocks: one giant block
-                        # per range would serialize the downstream actor
-                        # pool (one task per block), defeating the split
+                        # per range would serialize the downstream stage
+                        # (one task per block), defeating the split
                         if len(out_rows) >= batch_rows:
                             yield _rows_to_table(out_rows)
                             out_rows = []

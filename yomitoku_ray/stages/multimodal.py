@@ -9,8 +9,9 @@ TIFF/lossless WebP/netpbm — pure zlib+numpy, ``kernels/``). Lossy VP8
 WebP is sniffed (format and dimensions) but not decoded. An unrecognised
 format raises NotImplementedError (strict mode) or gets a deterministic
 fake (fake mode). The Ray-side plumbing is real and
-tested: schema, actor-pool stage shape, small batch sizes for large
-payloads, metadata extraction without full decode.
+tested: schema, per-batch stage callables (passed to ``map_batches`` as
+instances, so each batch runs as a plain task), small batch sizes for
+large payloads, metadata extraction without full decode.
 
 Reference anchor: the engine's image path (figure crops,
 ``/root/reference/src/yomitoku/export/export_markdown.py:70-111``) emits
@@ -205,11 +206,11 @@ class DecoderBackend:
 
 
 class ImageMetaStage:
-    """Actor stage: binary image column -> typed metadata struct.
+    """Stage: binary image column -> typed metadata struct.
 
     Header sniffing only — cheap enough for full-corpus sweeps. Use small
-    ``batch_size`` (<=16) when payloads are multi-MB so a batch x pool fits
-    worker heaps.
+    ``batch_size`` (<=16) when payloads are multi-MB so a batch fits a
+    worker heap.
     """
 
     def __init__(self, blob_column: str = "image"):
@@ -224,7 +225,7 @@ class ImageMetaStage:
 
 
 class ImageFeatureStage:
-    """Actor stage: binary image column -> feature struct.
+    """Stage: binary image column -> feature struct.
 
     Decodable payloads get REAL pixel features (decode + luma + block-mean
     signature); the rest follow the backend mode — deterministic fake
@@ -245,7 +246,7 @@ class ImageFeatureStage:
 
 
 class ImageResizeStage:
-    """Actor stage: real resize (decode -> nearest-neighbor -> PNG
+    """Stage: real resize (decode -> nearest-neighbor -> PNG
     re-encode) for every decodable format (PNG/GIF/JPEG/BMP/TIFF/lossless
     WebP/netpbm via :class:`DecoderBackend`); the normalized output is
     always PNG.
@@ -294,7 +295,7 @@ AUDIO_FEATURES = pa.struct(
 
 
 class AudioFeatureStage:
-    """Actor stage: binary WAV column -> REAL signal features.
+    """Stage: binary WAV column -> REAL signal features.
 
     PCM decode + RMS/ZCR/rFFT-dominant-frequency run with stdlib wave +
     numpy — no audio library, no stub. Undecodable payloads get a per-row
@@ -327,7 +328,7 @@ class AudioFeatureStage:
 
 
 class FrameSampleStage:
-    """Flat-map actor stage: container column -> sampled frame rows.
+    """Flat-map stage: container column -> sampled frame rows.
 
     The video-decode analogue over this repo's binary page containers (the
     sandbox ships no video codecs, so the container IS the multi-frame
@@ -398,7 +399,7 @@ def make_fake_png(width: int, height: int, seed: int = 0) -> bytes:
 
 
 class VideoFrameFeatureStage:
-    """Actor stage: MJPEG-AVI column -> uniformly sampled decoded-frame
+    """Stage: MJPEG-AVI column -> uniformly sampled decoded-frame
     feature rows (vid_id, frame_idx, n_frames, fps, mean_luma_milli).
 
     Real video plumbing end-to-end: the AVI index walk finds frame chunks
@@ -463,7 +464,7 @@ class VideoFrameFeatureStage:
 
 
 class ImageDHashStage:
-    """Actor stage: binary image column -> 64-bit difference hash (dHash)
+    """Stage: binary image column -> 64-bit difference hash (dHash)
     — the standard perceptual fingerprint for image near-dup detection in
     web-scale multimodal corpora (LAION-style dedup).
 
@@ -517,7 +518,7 @@ class ImageDHashStage:
 
 
 class AudioFingerprintStage:
-    """Actor stage: WAV column -> 64-bit spectral fingerprint — the audio
+    """Stage: WAV column -> 64-bit spectral fingerprint — the audio
     counterpart of :class:`ImageDHashStage` (constellation-style audio
     near-dup detection, Shazam-family reduced to its deterministic core).
 

@@ -14,8 +14,9 @@ mutable index built from ``@ray.remote`` actors:
   different shards proceed in parallel;
 - each ``check_and_add`` call ships one compact uint64 array per shard,
   not rows — the payload never visits the index;
-- actors are ``num_cpus=0`` so they coexist with the map stage's pool
-  instead of stealing slots from it.
+- actors are ``num_cpus=0``: they hold no CPU, so the filter's tasks
+  and every other stage keep the whole cluster, and an index that
+  outlives a Dataset (or a failed one) holds nothing.
 
 Which of N duplicate rows survives depends on arrival order (first
 wins); the SURVIVOR SET SIZE and the dropped count are deterministic,
@@ -82,8 +83,8 @@ class _DedupShard:
 
 
 def create_dedup_index(n_shards: int = 8, mode: str = "exact", bloom_bits: int = 1 << 24):
-    """N detached-from-the-stage shard actors; pass the list to
-    :class:`StreamingDedupFilter` via ``fn_constructor_kwargs``."""
+    """N shard actors that outlive any one Dataset; pass the list to
+    :class:`StreamingDedupFilter`."""
     return [_DedupShard.remote(mode=mode, bloom_bits=bloom_bits) for _ in range(n_shards)]
 
 
@@ -98,8 +99,9 @@ def _digest_u64(texts: list[str]) -> np.ndarray:
 
 
 class StreamingDedupFilter:
-    """``map_batches`` callable: drops every row whose ``column`` digest
-    was already claimed anywhere earlier in the stream.
+    """``map_batches`` callable, passed as an instance so each batch runs
+    as a plain task: drops every row whose ``column`` digest was already
+    claimed anywhere earlier in the stream.
 
     Safe at any ``concurrency``: a key is claimed by exactly one shard
     actor call, so across racing batches exactly ONE copy of each
@@ -127,21 +129,17 @@ class StreamingDedupFilter:
         return batch.filter(pa.array(keep))
 
 
-def streaming_dedup_count(sf_dir: str, n_shards: int = 8) -> "pd.DataFrame":
+def streaming_dedup_count(sf_dir: str) -> "pd.DataFrame":
     """Driver-query rollup: ingest the documents table through the
     sharded streaming index and report survivor counts (deterministic
     even though WHICH copy survives is arrival-order-dependent)."""
     import pandas as pd
     import ray.data
 
-    idx = create_dedup_index(n_shards=n_shards)
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
     n_total = ds.count()
     n_unique = ds.map_batches(
-        StreamingDedupFilter,
-        fn_constructor_kwargs={"index_handles": idx},
-        batch_format="pyarrow",
-        concurrency=(1, 4),  # elastic: never deadlocks small CPU budgets
+        StreamingDedupFilter(create_dedup_index()), batch_format="pyarrow"
     ).count()
     return pd.DataFrame(
         {
