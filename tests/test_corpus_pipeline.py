@@ -3,6 +3,7 @@ digest dedup -> shards, streaming with one shuffle."""
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from yomitoku_ray.pipelines.corpus import (
     CorpusConfig,
@@ -90,10 +91,14 @@ def test_corpus_build_quality_gates(ray_session, tmp_path):
     assert summary.loc[0, "n_langs"] == 1
 
 
-def test_corpus_build_writes_shards(ray_session, tmp_path):
+def test_corpus_build_writes_shards(ray_session, tmp_path, monkeypatch):
+    from yomitoku_ray.functions import buckets
+
+    # few digest buckets: the mask is sized on the driver from the floor
+    monkeypatch.setattr(buckets, "MIN_BUCKETS", 64)
     p = _pages_with_dups(tmp_path, n=40)
     out = str(tmp_path / "shards")
-    build_corpus(p, CorpusConfig(digest_buckets=64)).write_parquet(out)
+    build_corpus(p).write_parquet(out)
     back = pq.read_table(out)
     assert back.num_rows > 0
     assert set(back.schema.names) == {
@@ -170,6 +175,29 @@ def test_corpus_build_lang_pushdown(ray_session, tmp_path):
     assert len(df) == (full["lang"] == pick).sum()
 
 
+def test_corpus_build_gated_read_honours_read_num_blocks(ray_session, tmp_path, monkeypatch):
+    """The langs/url_filter build reads through the same read_pages as the
+    plain one: read_num_blocks reaches the read, next to the lang filter."""
+    import ray.data
+
+    from yomitoku_ray.pipelines.extract import ExtractConfig
+
+    seen = []
+    real = ray.data.read_parquet
+
+    def _spy(path, **kwargs):
+        seen.append(kwargs)
+        return real(path, **kwargs)
+
+    monkeypatch.setattr(ray.data, "read_parquet", _spy)
+    p = _pages_with_dups(tmp_path, n=10)
+    cfg = CorpusConfig(extract=ExtractConfig(read_num_blocks=3), langs=("ja",), url_filter=True)
+    build_corpus(p, cfg)  # lazy: builds the plan, runs nothing
+    assert len(seen) == 1
+    assert seen[0]["override_num_blocks"] == 3
+    assert seen[0]["filter"] is not None
+
+
 def test_corpus_output_feeds_packing(ray_session, tmp_path):
     """The full LLM-data chain composes: pages -> corpus_build ->
     pack_sequences over the cleaned corpus."""
@@ -197,6 +225,36 @@ def test_corpus_output_feeds_packing(ray_session, tmp_path):
 
     expect = np.concatenate([[0], np.cumsum(n_tok)[:-1]])
     assert (packed["tok_offset"].to_numpy() == expect).all()
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["--num-cpus", "2", "corpus", "in", "out"], 2),
+        (["corpus", "in", "out", "--num-cpus", "4"], 4),
+        (["--num-cpus", "2", "corpus", "in", "out", "--num-cpus", "4"], 4),
+        (["corpus", "in", "out"], 8),
+        (["--num-cpus", "2", "extract", "in", "out"], 2),
+    ],
+)
+def test_cli_num_cpus_reaches_ray_init(monkeypatch, argv, want):
+    """The global --num-cpus is not reset by the corpus subcommand's own
+    --num-cpus default."""
+    from yomitoku_ray import __main__ as cli
+
+    class _Stop(Exception):
+        pass
+
+    seen = []
+
+    def _init_ray(num_cpus):
+        seen.append(num_cpus)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "_init_ray", _init_ray)
+    with pytest.raises(_Stop):
+        cli.main(argv)
+    assert seen == [want]
 
 
 def test_corpus_cli_streaming_flag(tmp_path):

@@ -134,31 +134,3 @@ def test_explode_extract_merge_round_trip(ray_session, tmp_path):
         assert got["n_pages"] == len(texts)
         assert got["total_chars"] == len(expect)
         assert got["merged_sha256"] == hashlib.sha256(expect.encode("utf-8")).hexdigest()
-
-
-def test_frame_sample_stage(ray_session, tmp_path):
-    """Video-stand-in frame sampling: uniform positions, error isolation."""
-    import pyarrow as pa
-
-    from yomitoku_ray.sources.paged import PAGED_SCHEMA
-    from yomitoku_ray.stages.multimodal import FrameSampleStage
-
-    pages10 = [f"<p>f{i}</p>".encode() for i in range(10)]
-    rows = [
-        {"doc_url": "u10", "warc_ts": 0, "doc_bytes": encode_paged_doc(pages10)},
-        {"doc_url": "u2", "warc_ts": 0, "doc_bytes": encode_paged_doc(pages10[:2])},
-        {"doc_url": "bad", "warc_ts": 0, "doc_bytes": b"garbage"},
-    ]
-    batch = pa.Table.from_pylist(rows, schema=PAGED_SCHEMA)
-    out = FrameSampleStage(n_frames=4)(batch).to_pylist()
-    by_key = {}
-    for r in out:
-        by_key.setdefault(r["doc_url"], []).append(r)
-    # 10 frames, 4 samples -> positions 0, 3, 6, 9
-    assert [r["frame_idx"] for r in by_key["u10"]] == [0, 3, 6, 9]
-    assert by_key["u10"][1]["frame"] == b"<p>f3</p>"
-    assert all(r["n_total_frames"] == 10 for r in by_key["u10"])
-    # 2 frames, 4 requested -> both, deduped
-    assert [r["frame_idx"] for r in by_key["u2"]] == [0, 1]
-    # malformed container -> one isolated error row
-    assert len(by_key["bad"]) == 1 and by_key["bad"][0]["sample_error"]

@@ -12,7 +12,7 @@ from yomitoku_ray.kernels.png import (
     resize_nearest,
     to_gray,
 )
-from yomitoku_ray.stages.multimodal import ImageFeatureStage, ImageResizeStage
+from yomitoku_ray.stages.multimodal import DecoderBackend, ImageFeatureStage
 
 
 def _rand_px(h, w, c, seed):
@@ -137,17 +137,17 @@ def test_real_features_white_vs_black():
     assert all(v < -0.99 for v in feats[1]["embedding"])
 
 
-def test_resize_stage_real_and_passthrough():
+def test_resize_kernel_round_trip_and_undecodable():
+    """decode -> nearest resize -> PNG re-encode keeps the sampled pixels
+    exactly; an undecodable payload raises in strict mode (nothing to
+    resize)."""
     px = _rand_px(8, 8, 3, seed=5)
-    batch = pa.table(
-        {"image": pa.array([encode_png(px), b"not png"], pa.binary())}
-    )
-    out = ImageResizeStage(4, 4)(batch)
-    assert out.column("resized").to_pylist() == [True, False]
-    small = decode_png(out.column("image").to_pylist()[0])
+    small = resize_nearest(DecoderBackend("strict").decode_image(encode_png(px)), 4, 4)
     assert small.shape == (4, 4, 3)
-    assert (small == resize_nearest(px, 4, 4)).all()
-    assert out.column("image").to_pylist()[1] == b"not png"
+    assert (small == px[::2, ::2]).all()
+    assert (decode_png(encode_png(small)) == small).all()
+    with pytest.raises(NotImplementedError):
+        DecoderBackend("strict").decode_image(b"not png")
 
 
 def test_gray_and_embedding_kernels():
@@ -276,18 +276,18 @@ class TestPngVariants:
         assert np.array_equal(got, (px.astype(np.uint32) >> 8).astype(np.uint8))
 
 
-def test_resize_stage_all_decodable_formats():
-    """Resize now decodes every real codec; output normalized to PNG."""
+def test_resize_after_decode_all_formats():
+    """Every real codec decodes exactly through the backend, so a resize
+    of the decoded pixels equals the resize of the source, re-encoded as
+    PNG."""
     from yomitoku_ray.kernels.bmp import encode_bmp
     from yomitoku_ray.kernels.gif import encode_gif
     from yomitoku_ray.kernels.webp import encode_webp_lossless
 
     px = _rand_px(8, 6, 3, seed=9)
-    blobs = [encode_bmp(px), encode_gif(px), encode_webp_lossless(px)]
-    batch = pa.table({"image": pa.array(blobs, pa.binary())})
-    out = ImageResizeStage(4, 4)(batch)
-    assert out.column("resized").to_pylist() == [True, True, True]
-    for b in out.column("image").to_pylist():
-        small = decode_png(b)
+    backend = DecoderBackend("strict")
+    for blob in [encode_bmp(px), encode_gif(px), encode_webp_lossless(px)]:
+        got = backend.decode_image(blob)[:, :, :3]
+        small = decode_png(encode_png(resize_nearest(got, 4, 4)))
         assert small.shape == (4, 4, 3)
         assert (small == resize_nearest(px, 4, 4)).all()

@@ -75,3 +75,31 @@ def test_video_stage_pins_analytic_values(ray_session):
     solid = df[(df["vid_id"] % 2 == 1) & (df["error"].isna())]
     per_vid = solid.groupby("vid_id")["mean_luma_milli"].nunique()
     assert (per_vid == 1).all()
+
+
+def test_video_stage_samples_uniform_positions():
+    """Frame sampling: k uniform positions floor(i * (n-1) / (k-1)),
+    deduplicated for short clips; a malformed container is one isolated
+    error row, never a failed batch."""
+    import pyarrow as pa
+
+    from yomitoku_ray.stages.multimodal import VideoFrameFeatureStage
+
+    frames = [np.full((8, 8), 20 * i, np.uint8) for i in range(10)]
+    blobs = [encode_mjpeg_avi(frames), encode_mjpeg_avi(frames[:2]), b"garbage"]
+    batch = pa.table(
+        {"vid_id": pa.array([10, 2, 0], pa.int64()), "video": pa.array(blobs, pa.binary())}
+    )
+    by_vid = {}
+    for r in VideoFrameFeatureStage(n_sample=4)(batch).to_pylist():
+        by_vid.setdefault(r["vid_id"], []).append(r)
+    # 10 frames, 4 samples -> positions 0, 3, 6, 9
+    assert [r["frame_idx"] for r in by_vid[10]] == [0, 3, 6, 9]
+    assert all(r["n_frames"] == 10 and r["error"] is None for r in by_vid[10])
+    # the sampled frame is the one decoded: frame 3 is flat gray 60
+    assert by_vid[10][1]["mean_luma_milli"] == round(1000 * 60 / 255)
+    # 2 frames, 4 requested -> both, deduplicated
+    assert [r["frame_idx"] for r in by_vid[2]] == [0, 1]
+    # malformed container -> one isolated error row
+    assert len(by_vid[0]) == 1
+    assert by_vid[0][0]["frame_idx"] == -1 and by_vid[0][0]["error"]

@@ -345,14 +345,14 @@ def test_libwebp_decodes_our_lossless_streams_exactly():
 @needs_libwebp
 def test_libwebp_lossy_stream_through_the_image_stages():
     """A real lossy WebP is not decoded: dHash gives 0 and an error naming
-    lossy VP8, resize passes it through unchanged, and the metadata sniff
-    still reports webp with the true dimensions."""
+    lossy VP8, the strict decoder raises that error, and the metadata
+    sniff still reports webp with the true dimensions."""
     import pyarrow as pa
 
     from yomitoku_ray.stages.multimodal import (
+        DecoderBackend,
         ImageDHashStage,
         ImageMetaStage,
-        ImageResizeStage,
     )
 
     px = RNG.randint(0, 256, (24, 40, 3), dtype=np.uint8)
@@ -362,7 +362,7 @@ def test_libwebp_lossy_stream_through_the_image_stages():
 
     dh = ImageDHashStage()(batch).to_pylist()[0]
     assert dh["dhash"] == 0 and "lossy VP8" in dh["dhash_error"]
-    rs = ImageResizeStage(8, 8)(batch).to_pylist()[0]
-    assert rs["resized"] is False and rs["image"] == blob
+    with pytest.raises(WebpError, match="lossy VP8"):
+        DecoderBackend("strict").decode_image(blob)
     meta = ImageMetaStage()(batch).to_pylist()[0]["image_meta"]
     assert (meta["format"], meta["width"], meta["height"]) == ("webp", 40, 24)

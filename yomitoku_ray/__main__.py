@@ -242,7 +242,9 @@ def main(argv=None):
     )
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--num-cpus", type=int, default=8)
+    # accepted after the subcommand too; SUPPRESS keeps the global value
+    # when it is not given here
+    p.add_argument("--num-cpus", type=int, default=argparse.SUPPRESS)
     p.add_argument("--min-words", type=int, default=5)
     p.add_argument(
         "--format",

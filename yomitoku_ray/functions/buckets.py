@@ -1,67 +1,76 @@
-"""Coarse-bucket sizing for the wide shuffles.
+"""The coarse bucket exchange behind the wide operators.
 
 Every heavy exchange in this package (minhash banding, simhash chunks,
 dup-component propagation, window/segment/bigram explodes, the relational
-per-entity kernels) shuffles on ``key & mask`` where ``mask = n_buckets - 1``
-and a WHOLE bucket is later held in ONE ``map_groups`` pandas frame. The
-bucket count therefore sets peak per-task memory: it must scale with the
-input, not sit at a constant.
+per-entity kernels) groups rows by ``hash(key) & mask`` and hands each
+WHOLE bucket to one pandas call: :func:`bucket_exchange` is that one
+composition. A per-key groupby would pay Ray's per-group overhead (~90 us
+per ``map_groups`` group, measured in round 2) once per key; a coarse
+bucket pays it once per bucket and the operator resolves its keys
+vectorized inside the frame.
 
-Sizing rule (the ``CorpusConfig.digest_buckets`` treatment, promoted here):
+A bucket is held in one task's heap, so the bucket count sets peak
+per-task memory: it must scale with the input, not sit at a constant.
+Sizing rule (worked out on the driver, never passed in):
 
     n_buckets = next_pow2(shuffled_bytes / bytes_per_bucket)
                 clamped to [1024, 2**22]
 
-- ``shuffled_bytes`` is estimated as input parquet FILE bytes times a
-  per-operator ``expansion`` factor: ~1 for row-shaped exchanges (pair
-  graphs, per-entity event rows), ~16 for token-window explodes where one
-  compressed input byte becomes an occurrence row (window text + ids,
-  measured ~10-20x at the test scales).
+- ``shuffled_bytes`` is estimated as input FILE bytes (local paths or any
+  ``pyarrow.fs`` URI) times a per-operator ``expansion`` factor: ~1 for
+  row-shaped exchanges (pair graphs, per-entity event rows), ~16 for
+  token-window explodes where one compressed input byte becomes an
+  occurrence row (window text + ids, measured ~10-20x at the test scales).
 - ``bytes_per_bucket`` targets what one map_groups task should hold in its
   heap; 64 MiB of estimated exchange bytes leaves an order of magnitude of
   headroom against pandas overhead inside a multi-GiB worker heap.
-- The floor (1024) amortizes per-group overhead (~90 us per map_groups
-  group measured in round 2 — the reason these shuffles are coarse at all);
-  the cap (4M buckets) bounds the shuffle's metadata at any input size.
+- The floor (1024) amortizes the per-group overhead and is what an
+  exchange without input files (``size_from=None``) gets; the cap (4M
+  buckets) bounds the shuffle's metadata at any input size.
 
-Result invariance: the bucket key only co-locates work — every operator
+Result invariance: the bucket only co-locates work — every operator
 computes exact within-bucket results and the union over buckets is the
-answer, so output is invariant to ``n_buckets`` (pinned by
-``tests/test_bucket_invariance.py`` at two counts). At 100 TB a token
-explode (~10**14 shuffled bytes) resolves to the 2**22 cap: ~25 MB per
-bucket, still one comfortable task.
-
-Every public operator that shuffles coarsely takes ``n_buckets: int | None``
-— ``None`` applies this rule to its input files; an explicit power of two
-overrides it.
+answer, so output does not depend on the bucket count (pinned by
+``tests/test_bucket_invariance.py`` at floors 64 and 4096). At 100 TB a
+token explode (~10**14 shuffled bytes) resolves to the 2**22 cap: ~25 MB
+per bucket, still one comfortable task.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.fs as pafs
 
 BYTES_PER_BUCKET = 64 * 2**20
 MIN_BUCKETS = 1024
 MAX_BUCKETS = 1 << 22
 
+_BUCKET = "_bucket"
+
 
 def input_bytes(paths: str | list[str] | tuple[str, ...]) -> int:
-    """Total file bytes under the given file/directory paths (0 when a
-    path cannot be stat'ed — e.g. a non-local filesystem — which falls the
-    sizing back to the floor; pass ``n_buckets`` explicitly there)."""
+    """Total file bytes under the given files, directories or URIs
+    (``file://``, ``s3://``, ... through ``pyarrow.fs``). A path that
+    cannot be stat'ed counts 0, which falls the sizing back to the floor."""
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]
     total = 0
-    for p in paths:
+    for p in map(os.fspath, paths):
         try:
-            if os.path.isdir(p):
-                for root, _, files in os.walk(p):
-                    for f in files:
-                        total += os.path.getsize(os.path.join(root, f))
+            fs, path = pafs.FileSystem.from_uri(p if "://" in p else os.path.abspath(p))
+            info = fs.get_file_info(path)
+            if info.type == pafs.FileType.Directory:
+                infos = fs.get_file_info(pafs.FileSelector(path, recursive=True))
             else:
-                total += os.path.getsize(p)
-        except OSError:
+                infos = [info]
+        except (OSError, ValueError):  # ArrowInvalid is a ValueError
             continue
+        total += sum(i.size for i in infos if i.type == pafs.FileType.File)
     return total
 
 
@@ -84,7 +93,7 @@ def resolve_mask(
     paths: str | list[str] | tuple[str, ...] | None = None,
     expansion: float = 1.0,
 ) -> int:
-    """The ``key & mask`` mask for a coarse shuffle: explicit ``n_buckets``
+    """The ``& mask`` for a coarse shuffle: explicit ``n_buckets``
     (validated power of two) wins; else the sizing rule over ``paths``;
     else the floor."""
     if n_buckets is not None:
@@ -94,3 +103,30 @@ def resolve_mask(
     if paths is not None:
         return n_buckets_for(paths, expansion=expansion) - 1
     return MIN_BUCKETS - 1
+
+
+def bucket_exchange(ds, key: str, fn, *, size_from=None, expansion: float = 1.0):
+    """Group ``ds`` by ``hash(key) & mask`` and return ``fn`` applied to
+    each bucket's pandas frame (``fn`` never sees the bucket column).
+
+    The mask is sized once, here on the driver, from the files or URIs in
+    ``size_from`` times ``expansion`` (the floor when ``size_from`` is
+    None). Rows of a union exchange on one shared ``key`` column, so equal
+    keys from both sides meet in one frame."""
+    mask = resolve_mask(paths=size_from, expansion=expansion)
+
+    def _tag_bucket(batch):
+        bucket = pd.util.hash_array(np.asarray(batch[key])).astype(np.int64) & mask
+        if isinstance(batch, pd.DataFrame):
+            return batch.assign(**{_BUCKET: bucket})
+        return batch.append_column(_BUCKET, pa.array(bucket))
+
+    @functools.wraps(fn)
+    def _run(group: pd.DataFrame):
+        return fn(group.drop(columns=[_BUCKET]))
+
+    return (
+        ds.map_batches(_tag_bucket, batch_format=None)
+        .groupby(_BUCKET)
+        .map_groups(_run, batch_format="pandas")
+    )

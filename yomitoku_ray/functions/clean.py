@@ -32,7 +32,7 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from ..kernels.md5_vec import md5_u64_of_ints
-from .buckets import resolve_mask
+from .buckets import bucket_exchange
 from .dedup import dup_components, shingle_hashes
 
 # RE2-compatible patterns (no lookaround, no backreferences) so the exact
@@ -373,7 +373,9 @@ def pack_sequences(
         )
 
     # Streaming Dataset out (doc_stats convention): the only driver-side
-    # state in this op is the bucket-space-sized prefix table above.
+    # state in this op is the bucket-space-sized prefix table above. Its
+    # own groupby, not bucket_exchange: _assign reads the bucket id, because
+    # these buckets are ordered doc_id ranges.
     return (
         ray.data.read_parquet(path, columns=["doc_id", "text"])
         .map_batches(_tok, batch_format="pandas")
@@ -445,7 +447,6 @@ def dedup_corpus(
     sf_dir: str,
     threshold: float = 0.5,
     max_bucket: int = 4096,
-    n_buckets: int | None = None,
 ) -> pd.DataFrame:
     """The corpus AFTER near-dup resolution: MinHash pairs -> connected
     components -> drop every non-representative member (component id =
@@ -457,10 +458,8 @@ def dedup_corpus(
     is shipped as a dataset through the shuffle, never broadcast to every
     task. Columns: source, n_docs, n_kept, kept_chars (all int64).
     """
-    mask = resolve_mask(n_buckets, paths=f"{sf_dir}/documents.parquet")
-    comp = dup_components(
-        sf_dir, threshold=threshold, max_bucket=max_bucket, n_buckets=n_buckets
-    )
+    path = f"{sf_dir}/documents.parquet"
+    comp = dup_components(sf_dir, threshold=threshold, max_bucket=max_bucket)
     # Non-representative members, filtered as a batch transform on the
     # streaming component Dataset — the drop set never touches the driver.
     drop_ds = comp.map_batches(
@@ -469,15 +468,12 @@ def dedup_corpus(
         ),
         batch_format="pandas",
     )
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"]
-    )
+    docs = ray.data.read_parquet(path, columns=["doc_id", "source", "n_chars"])
 
     def _tag_docs(df: pd.DataFrame) -> pd.DataFrame:
         key = df["doc_id"].astype("int64").to_numpy()
         return pd.DataFrame(
             {
-                "bucket": key & mask,
                 "key": key,
                 "side": np.zeros(len(df), dtype="int8"),
                 "source": df["source"].astype(str),
@@ -489,7 +485,6 @@ def dedup_corpus(
         key = df["doc_id"].astype("int64").to_numpy()
         return pd.DataFrame(
             {
-                "bucket": key & mask,
                 "key": key,
                 "side": np.ones(len(df), dtype="int8"),
                 "source": np.full(len(df), "", dtype=object),
@@ -525,8 +520,7 @@ def dedup_corpus(
         drop_ds.map_batches(_tag_drop, batch_format="pandas")
     )
     out = (
-        both.groupby("bucket")
-        .map_groups(_anti, batch_format="pandas")
+        bucket_exchange(both, "key", _anti, size_from=path)
         .groupby("source")
         .aggregate(
             Sum("n_docs", alias_name="n_docs"),
@@ -586,16 +580,14 @@ def source_mix_weights(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("source").reset_index(drop=True)
 
 
-def substring_dedup_rollup(
-    sf_dir: str, w: int = 5, n_buckets: int | None = None
-) -> pd.DataFrame:
+def substring_dedup_rollup(sf_dir: str, w: int = 5) -> pd.DataFrame:
     """Resolution rollup for exact substring-window dedup: per source, how
     many token positions the Lee-et-al excision pass would remove and what
     survives — the number a corpus curator actually acts on.
 
     Scale shape: composes the streaming :func:`dedup.dup_ngram_spans`
     Dataset with the documents' (source, token-count) side through ONE
-    coarse doc-bucket shuffle (tag/union/map_groups — the same large-large
+    coarse doc-bucket exchange (tag/union/map_groups — the same large-large
     join idiom as dedup_corpus), then reduces per-bucket per-source
     partials in a dimension-sized groupby. Nothing corpus-sized ever
     reaches the driver. Columns: source, n_docs, n_tokens, n_dup_tokens,
@@ -606,9 +598,8 @@ def substring_dedup_rollup(
 
     from .dedup import dup_ngram_spans
 
-    # This join ships one row per doc — expansion ~1 over file bytes.
-    mask = resolve_mask(n_buckets, paths=f"{sf_dir}/documents.parquet")
-    spans = dup_ngram_spans(sf_dir, w=w, n_buckets=n_buckets)
+    path = f"{sf_dir}/documents.parquet"
+    spans = dup_ngram_spans(sf_dir, w=w)
 
     def _doc_side(df: pd.DataFrame) -> pd.DataFrame:
         ids = df["doc_id"].astype("int64")
@@ -616,7 +607,6 @@ def substring_dedup_rollup(
         n_tokens = toks.map(lambda t: len(t) if t != [""] else 0)
         return pd.DataFrame(
             {
-                "dbucket": ids.to_numpy() & mask,
                 "doc_id": ids,
                 "source": df["source"].astype(str),
                 "n_tokens": n_tokens.astype("int64"),
@@ -628,7 +618,6 @@ def substring_dedup_rollup(
         ids = df["doc_id"].astype("int64")
         return pd.DataFrame(
             {
-                "dbucket": ids.to_numpy() & mask,
                 "doc_id": ids,
                 "source": pd.Series([""] * len(df), dtype=str),
                 "n_tokens": np.zeros(len(df), dtype="int64"),
@@ -657,12 +646,12 @@ def substring_dedup_rollup(
         return per.groupby("source", as_index=False).sum()
 
     docs_tagged = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "text"]
+        path, columns=["doc_id", "source", "text"]
     ).map_batches(_doc_side, batch_format="pandas")
+    both = docs_tagged.union(spans.map_batches(_span_side, batch_format="pandas"))
+    # This join ships one row per doc — expansion ~1 over file bytes.
     out = (
-        docs_tagged.union(spans.map_batches(_span_side, batch_format="pandas"))
-        .groupby("dbucket")
-        .map_groups(_merge, batch_format="pandas")
+        bucket_exchange(both, "doc_id", _merge, size_from=path)
         .groupby("source")
         .aggregate(
             Sum("n_docs", alias_name="n_docs"),
@@ -677,9 +666,7 @@ def substring_dedup_rollup(
     return out.sort_values("source").reset_index(drop=True)
 
 
-def segment_dedup(
-    sf_dir: str, seg_words: int = 10, n_buckets: int | None = None
-) -> ray.data.Dataset:
+def segment_dedup(sf_dir: str, seg_words: int = 10) -> ray.data.Dataset:
     """C4-style cross-document segment dedup: split each document into
     non-overlapping ``seg_words``-word segments and drop EVERY occurrence
     of any segment whose exact text appears in more than one distinct
@@ -689,75 +676,57 @@ def segment_dedup(
     Scale shape (two coarse-bucketed shuffles, no broadcast — the
     segment-count table is corpus-sized):
 
-    1. per-batch combiner splits docs into segments and keys them by
-       ``hash(seg_text) & mask``; one marker row per document carries the
-       segment total (and keeps empty docs alive);
-    2. per-segment-bucket ``map_groups`` counts distinct docs per segment
-       text and keeps singles, re-keyed by ``doc_id & mask``;
-    3. per-doc-bucket ``map_groups`` rebuilds the text in segment order.
+    1. a per-batch explode splits docs into (doc_id, seg, seg_text) rows;
+    2. a ``seg_text`` bucket exchange counts distinct docs per segment
+       text and keeps singles;
+    3. a ``doc_id`` bucket exchange meets the kept segments with one
+       marker row per document (it carries the segment total and keeps
+       empty docs alive) and rebuilds the text in segment order.
 
     Columns: doc_id, clean_text, n_kept, n_dropped (int64).
     """
+    path = f"{sf_dir}/documents.parquet"
     # Segment rows ~= text bytes shuffled once — expansion ~4 over
     # compressed file bytes.
-    mask = resolve_mask(
-        n_buckets, paths=f"{sf_dir}/documents.parquet", expansion=4.0
-    )
+    expansion = 4.0
 
-    def _tag(df: pd.DataFrame) -> pd.DataFrame:
+    def _words(df: pd.DataFrame) -> pd.Series:
         # Drop empty split tokens (leading/trailing/consecutive spaces)
         # rather than gating on ws[0]: a doc starting with a space is not
         # an empty doc, and its segments must still participate.
-        words = df["text"].fillna("").str.split(" ")
-        seg_lists = words.apply(
-            lambda raw: (
-                lambda ws: [
-                    " ".join(ws[k : k + seg_words])
-                    for k in range(0, len(ws), seg_words)
-                ]
-            )([w for w in raw if w])
+        return df["text"].fillna("").str.split(" ").map(lambda raw: [w for w in raw if w])
+
+    def _segments(df: pd.DataFrame) -> pd.DataFrame:
+        seg_lists = _words(df).map(
+            lambda ws: [" ".join(ws[k : k + seg_words]) for k in range(0, len(ws), seg_words)]
         )
-        n_total = seg_lists.str.len().astype("int64")
         segs = pd.DataFrame(
             {"doc_id": df["doc_id"].astype("int64"), "seg_text": seg_lists}
         ).explode("seg_text")
         segs = segs[segs["seg_text"].notna()]
-        segs["seg"] = segs.groupby("doc_id").cumcount().astype("int64")
-        seg_rows = pd.DataFrame(
+        return pd.DataFrame(
             {
-                "bucket": pd.util.hash_array(
-                    segs["seg_text"].to_numpy(dtype=object)
-                ).astype("int64")
-                & mask
-                if len(segs)
-                else np.zeros(0, dtype="int64"),
                 "side": np.zeros(len(segs), dtype="int8"),
                 "doc_id": segs["doc_id"].to_numpy("int64"),
-                "seg": segs["seg"].to_numpy("int64"),
+                "seg": segs.groupby("doc_id").cumcount().to_numpy("int64"),
                 "seg_text": segs["seg_text"].astype(str),
             }
         )
-        marker_rows = pd.DataFrame(
+
+    def _markers(df: pd.DataFrame) -> pd.DataFrame:
+        n_words = _words(df).str.len().to_numpy("int64")
+        return pd.DataFrame(
             {
-                "bucket": df["doc_id"].to_numpy("int64") & mask,
                 "side": np.ones(len(df), dtype="int8"),
                 "doc_id": df["doc_id"].to_numpy("int64"),
-                "seg": n_total.to_numpy("int64"),  # marker carries the total
+                "seg": -(-n_words // seg_words),  # the marker carries the total
                 "seg_text": np.full(len(df), "", dtype=object),
             }
         )
-        return pd.concat([seg_rows, marker_rows], ignore_index=True)
 
-    def _keep_singles(grp: pd.DataFrame) -> pd.DataFrame:
-        side = grp["side"].to_numpy()
-        out = [grp[side == 1]]  # markers pass through (already doc-keyed)
-        segs = grp[side == 0]
-        if len(segs):
-            nd = segs.groupby("seg_text")["doc_id"].nunique()
-            kept = segs[nd.reindex(segs["seg_text"]).to_numpy() == 1].copy()
-            kept["bucket"] = kept["doc_id"].to_numpy("int64") & mask
-            out.append(kept)
-        return pd.concat(out, ignore_index=True)
+    def _keep_singles(segs: pd.DataFrame) -> pd.DataFrame:
+        nd = segs.groupby("seg_text")["doc_id"].nunique()
+        return segs[nd.reindex(segs["seg_text"]).to_numpy() == 1]
 
     def _rebuild(grp: pd.DataFrame) -> pd.DataFrame:
         side = grp["side"].to_numpy()
@@ -779,15 +748,14 @@ def segment_dedup(
             }
         )
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    return (
-        ds.map_batches(_tag, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(_keep_singles, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(_rebuild, batch_format="pandas")
+    def _read() -> ray.data.Dataset:
+        return ray.data.read_parquet(path, columns=["doc_id", "text"])
+
+    segs = _read().map_batches(_segments, batch_format="pandas")
+    kept = bucket_exchange(segs, "seg_text", _keep_singles, size_from=path, expansion=expansion)
+    markers = _read().map_batches(_markers, batch_format="pandas")
+    return bucket_exchange(
+        kept.union(markers), "doc_id", _rebuild, size_from=path, expansion=expansion
     )
 
 

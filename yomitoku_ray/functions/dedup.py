@@ -45,7 +45,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Min, Sum
 
-from .buckets import resolve_mask
+from .buckets import bucket_exchange, resolve_mask
 
 _U64 = np.uint64
 _BITS64 = np.arange(64, dtype=np.uint64)
@@ -193,14 +193,12 @@ def _unpack_pair(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return key >> 32, key & 0xFFFFFFFF
 
 
-def _band_rows_fn(num_perm: int, bands: int, shingle_k: int, mask: int):
-    """Task-pool stage: docs -> (pbucket, band_id, band_hash, doc_id) rows.
+def _band_rows_fn(num_perm: int, bands: int, shingle_k: int):
+    """Task-pool stage: docs -> (band_id, band_hash, doc_id) rows.
 
     Plain function (closure over the tiny permutation arrays) rather than an
     actor pool: no model state to amortize, so the task pool gets full
-    cluster parallelism with zero actor-ramp cost. ``pbucket`` is the
-    coarse shuffle key (hash of band_id+band_hash masked per the
-    ``buckets.resolve_mask`` sizing rule).
+    cluster parallelism with zero actor-ramp cost.
     """
     a, b = _minhash_params(num_perm)
     rows_per_band = num_perm // bands
@@ -224,13 +222,10 @@ def _band_rows_fn(num_perm: int, bands: int, shingle_k: int, mask: int):
                 out_hash.append(zlib.crc32(sig_bytes[band].tobytes()))
                 out_doc.append(int(doc_ids[i]))
         band_arr = np.asarray(out_band, dtype=np.int64)
-        hash_arr = np.asarray(out_hash, dtype=np.int64)
-        pbucket = ((hash_arr * 1000003) ^ band_arr) & mask
         return pa.table(
             {
-                "pbucket": pa.array(pbucket),
                 "band_id": pa.array(band_arr),
-                "band_hash": pa.array(hash_arr),
+                "band_hash": pa.array(np.asarray(out_hash, dtype=np.int64)),
                 "doc_id": pa.array(out_doc, pa.int64()),
             }
         )
@@ -255,8 +250,8 @@ def _bucket_pair_keys(ids: np.ndarray, max_bucket: int) -> np.ndarray:
 def _bucket_pairs(group: pd.DataFrame, max_bucket: int = 64) -> pd.DataFrame:
     """Candidate pair keys for one coarse partition of band buckets.
 
-    The shuffle key is a COARSE hash of (band_id, band_hash) — ~1k groups
-    regardless of bucket count — and the exact per-bucket grouping happens
+    The shuffle key is a COARSE hash of band_hash — ~1k groups regardless
+    of band-bucket count — and the exact per-bucket grouping happens
     vectorized inside the partition (duplicated-mask prefilter + local
     groupby). A per-(band,hash)-group shuffle would pay the per-group
     map_groups overhead ~80k times at sf0.1 (measured 7.6s); this shape
@@ -273,7 +268,6 @@ def _bucket_pairs(group: pd.DataFrame, max_bucket: int = 64) -> pd.DataFrame:
 
 _SHINGLE_SIDE_SCHEMA = pa.schema(
     [
-        ("dbucket", pa.int64()),
         ("doc_id", pa.int64()),
         ("pair_key", pa.int64()),
         ("shingles", pa.list_(pa.uint64())),
@@ -281,7 +275,7 @@ _SHINGLE_SIDE_SCHEMA = pa.schema(
 )
 
 
-def _doc_shingle_rows_fn(shingle_k: int, mask: int):
+def _doc_shingle_rows_fn(shingle_k: int):
     def _fn(batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_numpy()
         texts = batch.column("text").to_pylist()
@@ -299,7 +293,6 @@ def _doc_shingle_rows_fn(shingle_k: int, mask: int):
         ids = np.asarray(keep_ids, dtype=np.int64)
         return pa.table(
             {
-                "dbucket": pa.array(ids & mask),
                 "doc_id": pa.array(ids),
                 "pair_key": pa.array([-1] * len(keep_ids), pa.int64()),
                 "shingles": pa.array(shingles, pa.list_(pa.uint64())),
@@ -310,57 +303,47 @@ def _doc_shingle_rows_fn(shingle_k: int, mask: int):
     return _fn
 
 
-def _pair_need_rows_fn(mask: int):
-    def _fn(batch: pa.Table) -> pa.Table:
-        """Candidate pair keys -> two (doc_id, pair_key) need-rows per pair.
+def _pair_need_rows(batch: pa.Table) -> pa.Table:
+    """Candidate pair keys -> two (doc_id, pair_key) need-rows per pair.
 
-        Per-batch ``np.unique`` removes most cross-band duplicate pairs here
-        without a dedicated dedup shuffle; the verify stage dedups stragglers
-        (duplicate rows are idempotent there)."""
-        keys = np.unique(batch.column("pair_key").to_numpy())
-        a, b = _unpack_pair(keys)
-        doc_id = np.concatenate([a, b])
-        return pa.table(
-            {
-                "dbucket": pa.array(doc_id & mask),
-                "doc_id": pa.array(doc_id, pa.int64()),
-                "pair_key": pa.array(np.concatenate([keys, keys]), pa.int64()),
-                "shingles": pa.array([[]] * (2 * len(keys)), pa.list_(pa.uint64())),
-            },
-            schema=_SHINGLE_SIDE_SCHEMA,
-        )
-
-    return _fn
+    Per-batch ``np.unique`` removes most cross-band duplicate pairs here
+    without a dedicated dedup shuffle; the verify stage dedups stragglers
+    (duplicate rows are idempotent there)."""
+    keys = np.unique(batch.column("pair_key").to_numpy())
+    a, b = _unpack_pair(keys)
+    return pa.table(
+        {
+            "doc_id": pa.array(np.concatenate([a, b]), pa.int64()),
+            "pair_key": pa.array(np.concatenate([keys, keys]), pa.int64()),
+            "shingles": pa.array([[]] * (2 * len(keys)), pa.list_(pa.uint64())),
+        },
+        schema=_SHINGLE_SIDE_SCHEMA,
+    )
 
 
-def _attach_shingles_fn(mask: int):
-    def _fn(group: pd.DataFrame) -> pd.DataFrame:
-        """Reduce-side join for one coarse doc partition: one vectorized pandas
-        merge copies each doc's shingles onto all pair rows needing them (no
-        per-doc group calls)."""
-        is_doc = group["pair_key"].to_numpy() == -1
-        docs = group[is_doc][["doc_id", "shingles"]]
-        need = group[~is_doc][["doc_id", "pair_key"]]
-        if len(docs) == 0 or len(need) == 0:
-            return pd.DataFrame(
-                {
-                    "vbucket": pd.Series([], dtype="int64"),
-                    "pair_key": pd.Series([], dtype="int64"),
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "shingles": pd.Series([], dtype=object),
-                }
-            )
-        m = need.merge(docs, on="doc_id", how="inner")
+def _attach_shingles(group: pd.DataFrame) -> pd.DataFrame:
+    """Reduce-side join for one coarse doc partition: one vectorized pandas
+    merge copies each doc's shingles onto all pair rows needing them (no
+    per-doc group calls)."""
+    is_doc = group["pair_key"].to_numpy() == -1
+    docs = group[is_doc][["doc_id", "shingles"]]
+    need = group[~is_doc][["doc_id", "pair_key"]]
+    if len(docs) == 0 or len(need) == 0:
         return pd.DataFrame(
             {
-                "vbucket": (m["pair_key"].to_numpy() & mask).astype("int64"),
-                "pair_key": m["pair_key"].astype("int64").to_numpy(),
-                "doc_id": m["doc_id"].astype("int64").to_numpy(),
-                "shingles": m["shingles"].to_numpy(),
+                "pair_key": pd.Series([], dtype="int64"),
+                "doc_id": pd.Series([], dtype="int64"),
+                "shingles": pd.Series([], dtype=object),
             }
         )
-
-    return _fn
+    m = need.merge(docs, on="doc_id", how="inner")
+    return pd.DataFrame(
+        {
+            "pair_key": m["pair_key"].astype("int64").to_numpy(),
+            "doc_id": m["doc_id"].astype("int64").to_numpy(),
+            "shingles": m["shingles"].to_numpy(),
+        }
+    )
 
 
 def _verify_pairs_factory(thr_pct: int):
@@ -401,19 +384,17 @@ def minhash_lsh_pairs(
     shingle_k: int = 3,
     threshold: float = 0.5,
     max_bucket: int = 64,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Near-duplicate pairs via MinHash banding, verified with exact Jaccard.
 
     shingle -> minhash -> band -> candidate pair keys -> distributed
-    verification. Three shuffles, each keyed COARSELY (input-sized hash
-    buckets per ``buckets.resolve_mask``; ``n_buckets`` overrides) with
-    the exact grouping done vectorized inside
-    each partition — per-bucket map_groups calls would pay Python/pandas
-    overhead once per band bucket (~80k at sf0.1, measured 7.6s; this
-    shape pays it ~1k times):
+    verification. Three :func:`buckets.bucket_exchange` shuffles, each
+    keyed COARSELY (input-sized hash buckets) with the exact grouping done
+    vectorized inside each partition — per-bucket map_groups calls would
+    pay Python/pandas overhead once per band bucket (~80k at sf0.1,
+    measured 7.6s; this shape pays it ~1k times):
 
-    1. pair generation keyed by hash(band_id, band_hash);
+    1. pair generation keyed by hash(band_hash);
     2. reduce-side join keyed by hash(doc_id) attaches shingle sets to
        pairs via one vectorized merge per partition (the hash-bucketed
        self-join: the groupby IS the bucketing);
@@ -439,32 +420,25 @@ def minhash_lsh_pairs(
     thr_pct = int(round(threshold * 100))
     path = f"{sf_dir}/documents.parquet"
     # Band/doc/pair rows are all O(corpus rows) x small — expansion ~1.
-    mask = resolve_mask(n_buckets, paths=path)
     # Fine-grained read blocks + small batches keep the signature stage on
     # every core even when the input is one parquet file.
     read_kw = {"columns": ["doc_id", "text"], "override_num_blocks": 32}
     ds = ray.data.read_parquet(path, **read_kw)
     banded = ds.map_batches(
-        _band_rows_fn(num_perm, bands, shingle_k, mask),
+        _band_rows_fn(num_perm, bands, shingle_k),
         batch_format="pyarrow",
         batch_size=256,
     )
-    cand = banded.groupby("pbucket").map_groups(
-        lambda g: _bucket_pairs(g, max_bucket), batch_format="pandas"
+    cand = bucket_exchange(
+        banded, "band_hash", lambda g: _bucket_pairs(g, max_bucket), size_from=path
     )
-    need = cand.map_batches(_pair_need_rows_fn(mask), batch_format="pyarrow")
+    need = cand.map_batches(_pair_need_rows, batch_format="pyarrow")
 
     doc_side = ray.data.read_parquet(path, **read_kw).map_batches(
-        _doc_shingle_rows_fn(shingle_k, mask), batch_format="pyarrow", batch_size=256
+        _doc_shingle_rows_fn(shingle_k), batch_format="pyarrow", batch_size=256
     )
-    paired = (
-        doc_side.union(need)
-        .groupby("dbucket")
-        .map_groups(_attach_shingles_fn(mask), batch_format="pandas")
-    )
-    return paired.groupby("vbucket").map_groups(
-        _verify_pairs_factory(thr_pct), batch_format="pandas"
-    )
+    paired = bucket_exchange(doc_side.union(need), "doc_id", _attach_shingles, size_from=path)
+    return bucket_exchange(paired, "pair_key", _verify_pairs_factory(thr_pct), size_from=path)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +469,7 @@ def simhash64(text: str) -> int:
     return int(simhash64_batch([text])[0])
 
 
-def _simhash_chunk_rows_fn(n_chunks: int, coarse_mask: int):
+def _simhash_chunk_rows_fn(n_chunks: int):
     chunk_bits = 64 // n_chunks
     mask = _U64((1 << chunk_bits) - 1)
 
@@ -513,10 +487,8 @@ def _simhash_chunk_rows_fn(n_chunks: int, coarse_mask: int):
         sigs = np.tile(sig, n_chunks)
         shifts = (chunk_id * chunk_bits).astype(np.uint64)
         values = (sigs >> shifts) & mask
-        cbucket = ((values.view(np.int64) * 1000003) ^ chunk_id) & coarse_mask
         return pa.table(
             {
-                "cbucket": pa.array(cbucket),
                 "chunk_id": pa.array(chunk_id),
                 "chunk_value": pa.array(values.astype(np.int64)),
                 "doc_id": pa.array(docs, pa.int64()),
@@ -583,7 +555,6 @@ def simhash_dup_pairs(
     sf_dir: str,
     n_chunks: int = 4,
     hamming_max: int = 3,
-    n_buckets: int | None = None,
 ) -> pd.DataFrame:
     """Near-dup pairs with Hamming(simhash) <= hamming_max.
 
@@ -595,17 +566,17 @@ def simhash_dup_pairs(
     materialization before the output-sized collection.
     """
     path = f"{sf_dir}/documents.parquet"
-    mask = resolve_mask(n_buckets, paths=path)  # n_chunks rows/doc: ~1x
     ds = ray.data.read_parquet(
         path,
         columns=["doc_id", "text"],
         override_num_blocks=32,
     )
     chunked = ds.map_batches(
-        _simhash_chunk_rows_fn(n_chunks, mask), batch_format="pyarrow", batch_size=256
+        _simhash_chunk_rows_fn(n_chunks), batch_format="pyarrow", batch_size=256
     )
-    pairs = chunked.groupby("cbucket").map_groups(
-        _simhash_bucket_pairs_fn(hamming_max), batch_format="pandas"
+    # n_chunks rows/doc: expansion ~1
+    pairs = bucket_exchange(
+        chunked, "chunk_value", _simhash_bucket_pairs_fn(hamming_max), size_from=path
     )
     uniq = pairs.groupby("pair_key").aggregate(Min("hamming", alias_name="hamming"))
 
@@ -695,7 +666,6 @@ def dup_components(
     threshold: float = 0.5,
     max_rounds: int = 10,
     max_bucket: int = 4096,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Connected components over the MinHash near-duplicate pair graph —
     the resolution step of dedup (component id = min doc id = the doc to
@@ -717,10 +687,8 @@ def dup_components(
     a pair.
     """
     # Propagation shuffles are pair-graph-sized (<= corpus-sized).
-    mask = resolve_mask(n_buckets, paths=f"{sf_dir}/documents.parquet")
-    pairs = minhash_lsh_pairs(
-        sf_dir, threshold=threshold, max_bucket=max_bucket, n_buckets=n_buckets
-    )
+    docs_path = f"{sf_dir}/documents.parquet"
+    pairs = minhash_lsh_pairs(sf_dir, threshold=threshold, max_bucket=max_bucket)
 
     def _sym_edges(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -758,20 +726,18 @@ def dup_components(
         .aggregate(Min("label", alias_name="label"))
     )
 
-    def _bucket_edges(df: pd.DataFrame) -> pd.DataFrame:
+    def _edge_rows(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "bucket": df["u"].to_numpy() & mask,
                 "kind": np.zeros(len(df), dtype="int8"),  # 0 = edge (keyed by u)
                 "node": df["u"].to_numpy(),
                 "other": df["v"].to_numpy(),
             }
         )
 
-    def _bucket_labels(df: pd.DataFrame) -> pd.DataFrame:
+    def _label_rows(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "bucket": df["node"].to_numpy() & mask,
                 "kind": np.ones(len(df), dtype="int8"),  # 1 = label row
                 "node": df["node"].to_numpy(),
                 "other": df["label"].to_numpy(),
@@ -779,7 +745,7 @@ def dup_components(
         )
 
     def _propagate(g: pd.DataFrame) -> pd.DataFrame:
-        """Per source bucket: join edges to labels on node; emit neighbor
+        """Per node bucket: join edges to labels on node; emit neighbor
         messages (is_self=0) plus each node's own label (is_self=1)."""
         lab = g[g["kind"] == 1][["node", "other"]].rename(columns={"other": "label"})
         edg = g[g["kind"] == 0][["node", "other"]]
@@ -793,7 +759,6 @@ def dup_components(
             own.append(np.zeros(len(m), dtype="int8"))
         return pd.DataFrame(
             {
-                "mbucket": np.concatenate(dst) & mask,
                 "dst": np.concatenate(dst).astype("int64"),
                 "lab": np.concatenate(val).astype("int64"),
                 "is_self": np.concatenate(own),
@@ -815,18 +780,14 @@ def dup_components(
         )
 
     for _ in range(max_rounds):
-        tagged = edge_ds.map_batches(_bucket_edges, batch_format="pandas").union(
-            label_ds.map_batches(_bucket_labels, batch_format="pandas")
+        rows = edge_ds.map_batches(_edge_rows, batch_format="pandas").union(
+            label_ds.map_batches(_label_rows, batch_format="pandas")
         )
-        msgs = tagged.groupby("bucket").map_groups(_propagate, batch_format="pandas")
+        msgs = bucket_exchange(rows, "node", _propagate, size_from=docs_path)
         # Materialize each round's labels (distributed, object store):
         # the round is consumed twice (changed-sum + next round's input)
         # and lazy re-execution would replay every prior round.
-        combined = (
-            msgs.groupby("mbucket")
-            .map_groups(_combine, batch_format="pandas")
-            .materialize()
-        )
+        combined = bucket_exchange(msgs, "dst", _combine, size_from=docs_path).materialize()
         n_changed = combined.sum("changed")  # scalar aggregate, not data
         label_ds = combined.select_columns(["node", "label"])
         if n_changed == 0:
@@ -869,9 +830,7 @@ def corpus_sample(sf_dir: str, mod: int = 20) -> ray.data.Dataset:
     return ds.map_batches(_sample, batch_format="pyarrow")
 
 
-def dup_ngram_spans(
-    sf_dir: str, w: int = 5, n_buckets: int | None = None
-) -> ray.data.Dataset:
+def dup_ngram_spans(sf_dir: str, w: int = 5) -> ray.data.Dataset:
     """Exact substring-window duplication signal — the distributable core of
     suffix-array exact-substring dedup ("Deduplicating Training Data Makes
     Language Models Better", Lee et al. 2022): a length-``w`` token window
@@ -883,15 +842,15 @@ def dup_ngram_spans(
     so both wide steps are coarse-bucketed SHUFFLES, never a broadcast;
     this mirrors :func:`text_stats.bigram_coverage`):
 
-    1. one vectorized pass explodes each batch into (window-hash bucket,
-       window text, doc_id, pos) occurrence rows plus per-batch partial
+    1. one vectorized pass explodes each batch into (window text,
+       doc_id, pos) occurrence rows plus per-batch partial
        count rows — the only corpus-sized exchange, inherent to the
        operator (suffix-array builds also touch every token once);
-    2. a per-bucket map_groups reduces the count partials, marks each
-       occurrence dup/unique, and emits per-(bucket,doc) window-count
+    2. a window-text bucket exchange reduces the count partials, marks
+       each occurrence dup/unique, and emits per-(bucket,doc) window-count
        partials plus one row per DUP occurrence (dup volume, bounded by
-       actual duplication) keyed by a doc-id bucket;
-    3. a second map_groups unions zero rows for all docs and computes the
+       actual duplication);
+    3. a doc-id bucket exchange unions zero rows for all docs and computes the
        per-doc interval-union coverage of the dup windows with one
        sorted-diff pass (coverage = sum(min(gap, w)) + w).
 
@@ -903,7 +862,7 @@ def dup_ngram_spans(
     path = f"{sf_dir}/documents.parquet"
     # Token-window explode: one occurrence row (~window text + 3 int64s)
     # per input token — expansion ~16x over file bytes.
-    mask = resolve_mask(n_buckets, paths=path, expansion=16.0)
+    expansion = 16.0
 
     def _windows(df: pd.DataFrame):
         """Vectorized (doc_index, pos_in_doc, window-string) explode."""
@@ -926,11 +885,6 @@ def dup_ngram_spans(
             s = s.str.cat(pd.Series(words[idx + off], dtype=str), sep=" ")
         return di[idx], pos[idx], s
 
-    def _bucket_of(g: pd.Series) -> np.ndarray:
-        if len(g) == 0:
-            return np.zeros(0, dtype="int64")
-        return pd.util.hash_array(g.to_numpy(dtype=object)).astype("int64") & mask
-
     def _tag(df: pd.DataFrame) -> pd.DataFrame:
         """Occurrence rows (side 0, one per window) + count partials
         (side 1, one per distinct window text in the batch)."""
@@ -938,7 +892,6 @@ def dup_ngram_spans(
         di, pos, g = _windows(df)
         occ = pd.DataFrame(
             {
-                "bucket": _bucket_of(g),
                 "side": np.zeros(len(g), dtype="int8"),
                 "g": g.to_numpy(dtype=object) if len(g) else np.zeros(0, dtype=object),
                 "doc_id": ids[di] if len(g) else np.zeros(0, dtype="int64"),
@@ -950,7 +903,6 @@ def dup_ngram_spans(
         gs = pd.Series(vc.index, dtype=str)
         cnt = pd.DataFrame(
             {
-                "bucket": _bucket_of(gs),
                 "side": np.ones(len(vc), dtype="int8"),
                 "g": gs.to_numpy(dtype=object) if len(vc) else np.zeros(0, dtype=object),
                 "doc_id": np.zeros(len(vc), dtype="int64"),
@@ -963,7 +915,6 @@ def dup_ngram_spans(
         return out
 
     _out_schema = {
-        "dbucket": "int64",
         "doc_id": "int64",
         "n_windows": "int64",
         "pos": "int64",  # -1 for count-partial rows, else a dup position
@@ -989,7 +940,6 @@ def dup_ngram_spans(
         )
         agg_rows = pd.DataFrame(
             {
-                "dbucket": per["doc_id"].to_numpy("int64") & mask,
                 "doc_id": per["doc_id"].astype("int64"),
                 "n_windows": per["n_windows"].astype("int64"),
                 "pos": np.full(len(per), -1, dtype="int64"),
@@ -997,7 +947,6 @@ def dup_ngram_spans(
         )
         dup_rows = pd.DataFrame(
             {
-                "dbucket": occ["doc_id"].to_numpy("int64")[dup] & mask,
                 "doc_id": occ["doc_id"].to_numpy("int64")[dup],
                 "n_windows": np.zeros(int(dup.sum()), dtype="int64"),
                 "pos": occ["pos"].to_numpy("int64")[dup],
@@ -1009,7 +958,6 @@ def dup_ngram_spans(
         ids = df["doc_id"].astype("int64")
         return pd.DataFrame(
             {
-                "dbucket": ids.to_numpy() & mask,
                 "doc_id": ids,
                 "n_windows": np.zeros(len(df), dtype="int64"),
                 "pos": np.full(len(df), -1, dtype="int64"),
@@ -1038,18 +986,19 @@ def dup_ngram_spans(
     tagged = ray.data.read_parquet(path, columns=["doc_id", "text"]).map_batches(
         _tag, batch_format="pandas"
     )
-    mid = tagged.groupby("bucket").map_groups(_join, batch_format="pandas")
+    mid = bucket_exchange(tagged, "g", _join, size_from=path, expansion=expansion)
     zeros = ray.data.read_parquet(path, columns=["doc_id"]).map_batches(
         _zeros, batch_format="pandas"
     )
-    return zeros.union(mid).groupby("dbucket").map_groups(_finish, batch_format="pandas")
+    return bucket_exchange(
+        zeros.union(mid), "doc_id", _finish, size_from=path, expansion=expansion
+    )
 
 
 def cross_corpus_near_dup(
     sf_dir: str,
     sample_mod: int = 5,
     max_bucket: int = 4096,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Incremental-ingest dedup: near-dup pairs where exactly ONE side is in
     the "new batch" — the check a pipeline runs before admitting a fresh
@@ -1067,7 +1016,7 @@ def cross_corpus_near_dup(
     """
     from ..kernels.md5_vec import md5_u64_of_ints
 
-    pairs = minhash_lsh_pairs(sf_dir, max_bucket=max_bucket, n_buckets=n_buckets)
+    pairs = minhash_lsh_pairs(sf_dir, max_bucket=max_bucket)
 
     def _xor_sides(df: pd.DataFrame) -> pd.DataFrame:
         a = df["doc_a"].to_numpy("int64")
@@ -1088,13 +1037,13 @@ def cross_corpus_near_dup(
     return pairs.map_batches(_xor_sides, batch_format="pandas")
 
 
-def shuffle_rank(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def shuffle_rank(sf_dir: str) -> ray.data.Dataset:
     """Deterministic training-order shuffle: every doc's global position
     in the md5-keyed order (tie-break doc_id) — the reproducible
     "shuffle the corpus before packing" step of an LLM data pipeline.
 
     Distributed rank WITHOUT a global sort: the md5 key's top bits give
-    ``n_buckets`` ORDERED ranges, so per-bucket counts + a tiny driver
+    input-sized ORDERED ranges, so per-bucket counts + a tiny driver
     cumsum yield exact base offsets (the :func:`clean.pack_sequences`
     prefix-scan idiom); one coarse shuffle groups each bucket, which
     sorts locally and adds its base. Every stage is corpus-sized work
@@ -1103,7 +1052,7 @@ def shuffle_rank(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
     Columns: doc_id, rank (int64, dense 0..n-1).
     """
     path = f"{sf_dir}/documents.parquet"
-    n_buckets = resolve_mask(n_buckets, paths=path) + 1
+    n_buckets = resolve_mask(paths=path) + 1
     shift = np.uint64(64 - int(np.log2(n_buckets)))
 
     def _key(batch: pa.Table) -> pa.Table:
@@ -1150,6 +1099,8 @@ def shuffle_rank(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
             }
         )
 
+    # Its own groupby, not bucket_exchange: _rank reads the bucket id,
+    # because these buckets are ordered ranges, not hashes.
     return keyed.groupby("bucket").map_groups(_rank, batch_format="pandas")
 
 
@@ -1190,7 +1141,6 @@ def hamming_pairs_u64(
     hash_col: str,
     n_chunks: int = 4,
     hamming_max: int = 3,
-    n_buckets: int | None = None,
 ) -> pd.DataFrame:
     """All id pairs whose 64-bit ``hash_col`` values are within
     ``hamming_max`` — the :func:`simhash_dup_pairs` pigeonhole machinery
@@ -1211,16 +1161,14 @@ def hamming_pairs_u64(
 
     Columns out: id_a, id_b, hamming (int64), sorted.
     """
-    mask = resolve_mask(n_buckets)
     chunk_bits = 64 // n_chunks
     cmask = _U64((1 << chunk_bits) - 1)
 
-    def _hash_bucket(batch: pa.Table) -> pa.Table:
+    def _hash_rows(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col).to_numpy().astype(np.int64)
         sig = batch.column(hash_col).to_numpy().astype(np.int64)
         return pa.table(
             {
-                "hbucket": pa.array((sig & mask), pa.int64()),
                 "doc_id": pa.array(ids, pa.int64()),
                 "simhash": pa.array(sig, pa.int64()),
             }
@@ -1254,10 +1202,10 @@ def hamming_pairs_u64(
                 )
         return pd.concat(frames, ignore_index=True)
 
-    grouped = (
-        ds.map_batches(_hash_bucket, batch_format="pyarrow", batch_size=4096)
-        .groupby("hbucket")
-        .map_groups(_star_and_reps, batch_format="pandas")
+    grouped = bucket_exchange(
+        ds.map_batches(_hash_rows, batch_format="pyarrow", batch_size=4096),
+        "simhash",
+        _star_and_reps,
     )
 
     def _take_stars(g: pd.DataFrame) -> pd.DataFrame:
@@ -1282,10 +1230,8 @@ def hamming_pairs_u64(
         sigs = np.tile(sig, n_chunks)
         shifts = (chunk_id * chunk_bits).astype(np.uint64)
         values = (sigs >> shifts) & cmask
-        cbucket = ((values.view(np.int64) * 1000003) ^ chunk_id) & mask
         return pa.table(
             {
-                "cbucket": pa.array(cbucket),
                 "chunk_id": pa.array(chunk_id),
                 "chunk_value": pa.array(values.astype(np.int64)),
                 "doc_id": pa.array(docs, pa.int64()),
@@ -1295,9 +1241,7 @@ def hamming_pairs_u64(
 
     star_pairs = grouped.map_batches(_take_stars, batch_format="pandas")
     chunked = grouped.map_batches(_chunk_rows, batch_format="pyarrow")
-    near_pairs = chunked.groupby("cbucket").map_groups(
-        _simhash_bucket_pairs_fn(hamming_max), batch_format="pandas"
-    )
+    near_pairs = bucket_exchange(chunked, "chunk_value", _simhash_bucket_pairs_fn(hamming_max))
     # star pairs (hamming 0) are disjoint from rep-level near pairs
     # (distinct hashes differ by >= 1 bit), so a plain union is exact
     pairs = near_pairs.union(star_pairs)
@@ -1305,18 +1249,10 @@ def hamming_pairs_u64(
     # Cross-chunk dedup via the coarse-bucket reduce (a fine-key pair_key
     # aggregate pays Ray's ~200 fixed reduce partitions; identical-hash
     # cliques x n_chunks make the pair volume large enough to feel it).
-    def _rebucket(batch: pa.Table) -> pa.Table:
-        keys = batch.column("pair_key").to_numpy()
-        return batch.append_column("pbucket", pa.array(keys & mask, pa.int64()))
-
     def _dedup_pairs(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("pair_key", as_index=False)["hamming"].min()
 
-    uniq = (
-        pairs.map_batches(_rebucket, batch_format="pyarrow")
-        .groupby("pbucket")
-        .map_groups(_dedup_pairs, batch_format="pandas")
-    )
+    uniq = bucket_exchange(pairs, "pair_key", _dedup_pairs)
 
     def _decode(batch: pa.Table) -> pa.Table:
         keys = batch.column("pair_key").to_numpy()

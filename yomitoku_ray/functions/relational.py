@@ -17,14 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
-import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data.aggregate import Sum
 
-
-from .buckets import resolve_mask
+from .buckets import bucket_exchange
 
 
 def _cents(x: pd.Series) -> pd.Series:
@@ -34,11 +31,10 @@ def _cents(x: pd.Series) -> pd.Series:
 # Coarse shuffle groups for per-entity operators (sessionize, as-of,
 # range join): groupby on the raw entity key costs ~90 us of map_groups
 # overhead PER GROUP (measured round 2) — hours of pure overhead at 1e8
-# users. Shuffling on ``key & mask`` instead pays that overhead once per
-# bucket, with the exact per-entity grouping done vectorized (pandas
-# groupby / merge_asof / segment searchsorted) inside each bucket. The
-# bucket count is INPUT-SIZED per ``buckets.resolve_mask`` (floor 1024);
-# every operator takes ``n_buckets`` to override.
+# users. ``buckets.bucket_exchange`` instead pays that overhead once per
+# input-sized bucket of ``hash(key)``, with the exact per-entity grouping
+# done vectorized (pandas groupby / merge_asof / segment searchsorted)
+# inside each bucket.
 
 
 def pricing_summary(sf_dir: str, cutoff: str = "1998-09-01") -> pd.DataFrame:
@@ -272,9 +268,7 @@ def part_type_stats(sf_dir: str) -> pd.DataFrame:
     return out.to_pandas().sort_values("p_type").reset_index(drop=True)
 
 
-def customers_without_orders(
-    sf_dir: str, since: str = "1998-01-01", n_buckets: int | None = None
-) -> pd.DataFrame:
+def customers_without_orders(sf_dir: str, since: str = "1998-01-01") -> pd.DataFrame:
     """Distributed ANTI-join: customers with no order since ``since``,
     rolled up per market segment.
 
@@ -288,15 +282,12 @@ def customers_without_orders(
     import pyarrow.dataset as pads
 
     since_ts = pd.Timestamp(since)
-    mask = resolve_mask(
-        n_buckets, paths=[f"{sf_dir}/customer.parquet", f"{sf_dir}/orders.parquet"]
-    )
+    paths = [f"{sf_dir}/customer.parquet", f"{sf_dir}/orders.parquet"]
 
     def _tag_cust(df: pd.DataFrame) -> pd.DataFrame:
         key = df["c_custkey"].astype("int64")
         return pd.DataFrame(
             {
-                "bucket": key.to_numpy() & mask,
                 "key": key,
                 "side": np.zeros(len(df), dtype="int8"),
                 "seg": df["c_mktsegment"].astype(str),
@@ -307,7 +298,6 @@ def customers_without_orders(
         key = df["o_custkey"].astype("int64")
         return pd.DataFrame(
             {
-                "bucket": key.to_numpy() & mask,
                 "key": key,
                 "side": np.ones(len(df), dtype="int8"),
                 "seg": np.full(len(df), "", dtype=object),
@@ -346,7 +336,7 @@ def customers_without_orders(
     both = cust.map_batches(_tag_cust, batch_format="pandas").union(
         orders.map_batches(_tag_orders, batch_format="pandas")
     )
-    partials = both.groupby("bucket").map_groups(_anti, batch_format="pandas")
+    partials = bucket_exchange(both, "key", _anti, size_from=paths)
     out = partials.groupby("c_mktsegment").aggregate(
         Sum("n_customers", alias_name="n_customers")
     ).to_pandas()
@@ -358,26 +348,19 @@ def customers_without_orders(
     return out.sort_values("c_mktsegment").reset_index(drop=True)
 
 
-def user_sessions(
-    sf_dir: str, gap_minutes: int = 30, n_buckets: int | None = None
-) -> pd.DataFrame:
+def user_sessions(sf_dir: str, gap_minutes: int = 30) -> pd.DataFrame:
     """Session windows per user (gap-based sessionization).
 
     Streaming-shaped op per the ray guide: partition by key, order by ts
     within the group, split on inactivity gaps > ``gap_minutes``. The
-    shuffle key is COARSE (``user_id & mask``, input-sized buckets) — the
-    exact per-user sessionization runs as one vectorized pandas groupby
+    shuffle key is COARSE (``hash(user_id) & mask``, input-sized buckets) —
+    the exact per-user sessionization runs as one vectorized pandas groupby
     inside each bucket, so Ray's per-group overhead is paid ~1k times, not
     once per user. Columns: user_id, session_id, n_events, session_start,
     session_end.
     """
     gap = pd.Timedelta(minutes=gap_minutes)
-    mask = resolve_mask(n_buckets, paths=f"{sf_dir}/events.parquet")
-
-    def _bucketize(batch: pa.Table) -> pa.Table:
-        # zero-copy Arrow: append the coarse key without touching data cols
-        key = pc.cast(batch.column("user_id"), pa.int64())
-        return batch.append_column("bucket", pc.bit_wise_and(key, mask))
+    path = f"{sf_dir}/events.parquet"
 
     def _sessionize_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -394,14 +377,8 @@ def user_sessions(
         out["session_id"] = out["session_id"].astype("int64")
         return out[["user_id", "session_id", "n_events", "session_start", "session_end"]]
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"]
-    )
-    out = (
-        ds.map_batches(_bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_sessionize_bucket, batch_format="pandas")
-    )
+    ds = ray.data.read_parquet(path, columns=["event_id", "ts", "user_id"])
+    out = bucket_exchange(ds, "user_id", _sessionize_bucket, size_from=path)
     return (
         out.to_pandas()
         .sort_values(["user_id", "session_id"])
@@ -490,12 +467,12 @@ def events_sliding(
     return out.sort_values(["event_type", "window_start"]).reset_index(drop=True)
 
 
-def events_asof_orders(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def events_asof_orders(sf_dir: str) -> ray.data.Dataset:
     """Distributed AS-OF join: each event matched to the most recent order
     (by the same key) at or before the event time.
 
     The custom-operator pattern Ray Data lacks natively: tag both sides,
-    union, hash-shuffle once on a COARSE key (``key & mask``,
+    union, hash-shuffle once on a COARSE key (``hash(key) & mask``,
     input-sized buckets — per-entity map_groups overhead would be hours at 1e8
     users), then resolve every key of a bucket at once with one
     ``pd.merge_asof(by='key')`` — no per-row loops, no broadcast of the
@@ -504,10 +481,7 @@ def events_asof_orders(sf_dir: str, n_buckets: int | None = None) -> ray.data.Da
     arbitrary row id) and integer-exact (lag in whole hours from
     microsecond arithmetic), so DuckDB's native ASOF JOIN hash-verifies it.
     """
-    mask = resolve_mask(
-        n_buckets, paths=[f"{sf_dir}/events.parquet", f"{sf_dir}/orders.parquet"]
-    )
-
+    paths = [f"{sf_dir}/events.parquet", f"{sf_dir}/orders.parquet"]
     events = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
     )
@@ -520,7 +494,6 @@ def events_asof_orders(sf_dir: str, n_buckets: int | None = None) -> ray.data.Da
         return pd.DataFrame(
             {
                 "key": key,
-                "bucket": key.to_numpy() & mask,
                 "side": np.zeros(len(df), dtype="int8"),
                 "event_id": df["event_id"].astype("int64"),
                 "t_us": df["ts"].astype("datetime64[us]").astype("int64"),
@@ -532,7 +505,6 @@ def events_asof_orders(sf_dir: str, n_buckets: int | None = None) -> ray.data.Da
         return pd.DataFrame(
             {
                 "key": key,
-                "bucket": key.to_numpy() & mask,
                 "side": np.ones(len(df), dtype="int8"),
                 "event_id": np.full(len(df), -1, dtype="int64"),
                 "t_us": df["o_orderdate"].astype("datetime64[us]").astype("int64"),
@@ -589,17 +561,15 @@ def events_asof_orders(sf_dir: str, n_buckets: int | None = None) -> ray.data.Da
             }
         )
 
-    return both.groupby("bucket").map_groups(_resolve_bucket, batch_format="pandas")
+    return bucket_exchange(both, "key", _resolve_bucket, size_from=paths)
 
 
-def events_close_pairs(
-    sf_dir: str, max_gap_minutes: int = 5, n_buckets: int | None = None
-) -> ray.data.Dataset:
+def events_close_pairs(sf_dir: str, max_gap_minutes: int = 5) -> ray.data.Dataset:
     """Range self-join: ordered pairs of same-user events within a time
     band (0 <= gap <= max_gap; later-by-(time, id) side is event_b).
 
     The range-join pattern over one COARSE hash shuffle
-    (``user_id & mask``): each bucket co-locates a slice of the
+    (``hash(user_id) & mask``): each bucket co-locates a slice of the
     users; inside a bucket, rows are lexsorted by (user, time, id), each
     user's segment gets its in-band window via one ``searchsorted``, and
     pairs are emitted with vectorized ragged-range arithmetic (np.repeat +
@@ -608,15 +578,8 @@ def events_close_pairs(
     ordering; integer-second gaps keep the SQL oracle hash-exact.
     """
     gap_us = max_gap_minutes * 60 * 1_000_000
-    mask = resolve_mask(n_buckets, paths=f"{sf_dir}/events.parquet")
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
-    )
-
-    def _bucketize(batch: pa.Table) -> pa.Table:
-        # zero-copy Arrow: append the coarse key without touching data cols
-        key = pc.cast(batch.column("user_id"), pa.int64())
-        return batch.append_column("bucket", pc.bit_wise_and(key, mask))
+    path = f"{sf_dir}/events.parquet"
+    events = ray.data.read_parquet(path, columns=["event_id", "user_id", "ts"])
 
     def _pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -670,14 +633,10 @@ def events_close_pairs(
             }
         )
 
-    return (
-        events.map_batches(_bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_pairs_bucket, batch_format="pandas")
-    )
+    return bucket_exchange(events, "user_id", _pairs_bucket, size_from=path)
 
 
-def top_supplier_per_nation(sf_dir: str, n_buckets: int | None = None) -> pd.DataFrame:
+def top_supplier_per_nation(sf_dir: str) -> pd.DataFrame:
     """Arg-max per group over a three-table join: for each nation, the
     supplier with the highest lineitem revenue.
 
@@ -689,9 +648,7 @@ def top_supplier_per_nation(sf_dir: str, n_buckets: int | None = None) -> pd.Dat
     supplier-count-sized revenue table, never on the driver. Ties break on
     the lowest supplier key. Columns: n_name, s_name, revenue_cents.
     """
-    # Shuffled rows are per-batch supplier PARTIALS (pre-aggregated),
-    # far smaller than lineitem itself.
-    mask = resolve_mask(n_buckets, paths=f"{sf_dir}/lineitem.parquet", expansion=0.25)
+    lineitem = f"{sf_dir}/lineitem.parquet"
     supplier = ray.data.read_parquet(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name", "s_nationkey"]
     ).to_pandas()
@@ -707,8 +664,7 @@ def top_supplier_per_nation(sf_dir: str, n_buckets: int | None = None) -> pd.Dat
     )
 
     ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_suppkey", "l_extendedprice", "l_discount"],
+        lineitem, columns=["l_suppkey", "l_extendedprice", "l_discount"]
     )
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -717,20 +673,18 @@ def top_supplier_per_nation(sf_dir: str, n_buckets: int | None = None) -> pd.Dat
         work = pd.DataFrame(
             {"l_suppkey": df["l_suppkey"], "revenue_cents": base * (100 - disc)}
         )
-        work = work.groupby("l_suppkey", as_index=False).sum()
-        work["bucket"] = work["l_suppkey"].to_numpy() & mask
-        return work
+        return work.groupby("l_suppkey", as_index=False).sum()
 
     # Coarse-bucketed reduce (vectorized per-bucket groupby) instead of the
     # native aggregate: Ray's sort-aggregate pays ~200 reduce partitions of
-    # fixed overhead regardless of data size.
-    per_supplier = (
-        ds.map_batches(_partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(
-            lambda g: g.groupby("l_suppkey", as_index=False)[["revenue_cents"]].sum(),
-            batch_format="pandas",
-        )
+    # fixed overhead regardless of data size. Shuffled rows are per-batch
+    # supplier PARTIALS (pre-aggregated), far smaller than lineitem itself.
+    per_supplier = bucket_exchange(
+        ds.map_batches(_partial, batch_format="pandas"),
+        "l_suppkey",
+        lambda g: g.groupby("l_suppkey", as_index=False)[["revenue_cents"]].sum(),
+        size_from=lineitem,
+        expansion=0.25,
     )
 
     def _attach(df: pd.DataFrame) -> pd.DataFrame:
@@ -765,27 +719,21 @@ def top_supplier_per_nation(sf_dir: str, n_buckets: int | None = None) -> pd.Dat
     return out.sort_values("n_name").reset_index(drop=True)
 
 
-def events_funnel(
-    sf_dir: str, window_minutes: int = 60, n_buckets: int | None = None
-) -> pd.DataFrame:
+def events_funnel(sf_dir: str, window_minutes: int = 60) -> pd.DataFrame:
     """Funnel conversion: per user, the first ``view`` event and whether a
     ``purchase`` follows within ``window_minutes`` — the sequential-pattern
     shape (first-touch attribution) the windowed relational family
     otherwise lacks.
 
     Scale shape: same coarse-bucket idiom as :func:`user_sessions` /
-    :func:`events_asof_orders` — shuffle once on ``user_id & mask``
+    :func:`events_asof_orders` — shuffle once on ``hash(user_id) & mask``
     (~1k buckets), then one vectorized ``merge_asof(by=user_id,
     direction=forward, tolerance=window)`` per bucket pairs each user's
     first view with their earliest following purchase. Columns: user_id,
     view_ts, converted (0/1), secs_to_convert (-1 when unconverted).
     """
     tol = pd.Timedelta(minutes=window_minutes)
-    mask = resolve_mask(n_buckets, paths=f"{sf_dir}/events.parquet")
-
-    def _bucketize(batch: pa.Table) -> pa.Table:
-        key = pc.cast(batch.column("user_id"), pa.int64())
-        return batch.append_column("bucket", pc.bit_wise_and(key, mask))
+    path = f"{sf_dir}/events.parquet"
 
     def _funnel_bucket(g: pd.DataFrame) -> pd.DataFrame:
         views = (
@@ -837,36 +785,24 @@ def events_funnel(
             }
         )
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "user_id", "event_type"]
-    )
-    out = (
-        ds.map_batches(_bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_funnel_bucket, batch_format="pandas")
-    )
+    ds = ray.data.read_parquet(path, columns=["ts", "user_id", "event_type"])
+    out = bucket_exchange(ds, "user_id", _funnel_bucket, size_from=path)
     return out.to_pandas().sort_values("user_id").reset_index(drop=True)
 
 
-def events_retention(
-    sf_dir: str, max_offset_days: int = 7, n_buckets: int | None = None
-) -> pd.DataFrame:
+def events_retention(sf_dir: str, max_offset_days: int = 7) -> pd.DataFrame:
     """Cohort retention: users grouped by the day of their FIRST event
     (cohort_day), counted as retained on each later day they were active
     (day_offset 0..``max_offset_days``). The classic product-analytics
     matrix, integer-exact.
 
-    Scale shape: ONE shuffle on ``user_id & mask`` — a user's
+    Scale shape: ONE shuffle on ``hash(user_id) & mask`` — a user's
     whole history lands in one bucket, so first-day and per-day activity
     resolve vectorized inside the bucket; buckets emit (cohort_day,
     day_offset, partial n_users) and a final dimension-sized groupby sums
     the matrix (days x offsets rows — never user-sized on the driver).
     """
-    mask = resolve_mask(n_buckets, paths=f"{sf_dir}/events.parquet")
-
-    def _bucketize(batch: pa.Table) -> pa.Table:
-        key = pc.cast(batch.column("user_id"), pa.int64())
-        return batch.append_column("bucket", pc.bit_wise_and(key, mask))
+    path = f"{sf_dir}/events.parquet"
 
     def _retention_bucket(g: pd.DataFrame) -> pd.DataFrame:
         days = g["ts"].dt.floor("D")
@@ -891,21 +827,16 @@ def events_retention(
         out["day_offset"] = out["day_offset"].astype("int64")
         return out
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
-    parts = (
-        ds.map_batches(_bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_retention_bucket, batch_format="pandas")
-        .to_pandas()  # (buckets x days x offsets)-bounded
-    )
+    ds = ray.data.read_parquet(path, columns=["ts", "user_id"])
+    parts = bucket_exchange(
+        ds, "user_id", _retention_bucket, size_from=path
+    ).to_pandas()  # (buckets x days x offsets)-bounded
     out = parts.groupby(["cohort_day", "day_offset"], as_index=False)["n_users"].sum()
     out["n_users"] = out["n_users"].astype("int64")
     return out.sort_values(["cohort_day", "day_offset"]).reset_index(drop=True)
 
 
-def event_pagerank(
-    sf_dir: str, iterations: int = 3, n_buckets: int | None = None
-) -> pd.DataFrame:
+def event_pagerank(sf_dir: str, iterations: int = 3) -> pd.DataFrame:
     """PageRank over the event-type transition graph (damping 0.85,
     ``iterations`` fixed-point steps in INTEGER arithmetic so both engines
     produce bit-identical values — each edge contribution is
@@ -914,7 +845,7 @@ def event_pagerank(
 
     Scale shape: the heavy step is edge extraction — consecutive-event
     pairs per user over the whole events table — done with ONE coarse
-    user-bucket shuffle (``user_id & mask``) and vectorized
+    user-bucket shuffle (``hash(user_id) & mask``) and vectorized
     shift-compare inside each bucket, pre-aggregated to (src, dst) partial
     counts per bucket. The aggregated edge table is
     |event_type|^2-sized (dimension-sized), so the power iteration runs
@@ -922,16 +853,8 @@ def event_pagerank(
 
     Columns: event_type, pr3 (int64, scaled by 1e9), out_w, in_w.
     """
-    mask = resolve_mask(n_buckets, paths=f"{sf_dir}/events.parquet")
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id", "event_type"],
-    )
-
-    def _bucket(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        out["bucket"] = out["user_id"].to_numpy("int64") & mask
-        return out
+    path = f"{sf_dir}/events.parquet"
+    ds = ray.data.read_parquet(path, columns=["user_id", "ts", "event_id", "event_type"])
 
     def _edges(grp: pd.DataFrame) -> pd.DataFrame:
         g = grp.sort_values(["user_id", "ts", "event_id"])
@@ -948,9 +871,7 @@ def event_pagerank(
         return pairs.groupby(["src", "dst"], as_index=False).sum()
 
     edges = (
-        ds.map_batches(_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(_edges, batch_format="pandas")
+        bucket_exchange(ds, "user_id", _edges, size_from=path)
         .to_pandas()  # dimension-sized: |event_type|^2 * n_buckets partials
         .groupby(["src", "dst"], as_index=False)["w"]
         .sum()

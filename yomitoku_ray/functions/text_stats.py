@@ -15,7 +15,7 @@ import re
 import pandas as pd
 import ray.data
 
-from .buckets import resolve_mask
+from .buckets import bucket_exchange
 
 # Marker stopwords per language for the n-gram/marker lang-id heuristic.
 # Deterministic and SQL-replicable via regexp_extract_all counts.
@@ -282,27 +282,20 @@ def top_terms(sf_dir: str, k: int = 20) -> pd.DataFrame:
         toks = df["text"].fillna("").str.strip().str.split(_TOKEN_SPLIT).explode()
         toks = toks[toks != ""]
         vc = toks.value_counts()
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"term": vc.index.astype(str), "n": vc.values.astype("int64")}
         )
-        out["bucket"] = (
-            pd.util.hash_array(out["term"].to_numpy(dtype=object)).astype("int64")
-            & 255
-        )
-        return out
 
     def _reduce(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("term", as_index=False)["n"].sum()
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-    out = (
-        ds.map_batches(_partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(_reduce, batch_format="pandas")
-        .to_pandas()  # vocabulary-sized
-    )
+    path = f"{sf_dir}/documents.parquet"
+    ds = ray.data.read_parquet(path, columns=["text"])
+    out = bucket_exchange(
+        ds.map_batches(_partial, batch_format="pandas"), "term", _reduce, size_from=path
+    ).to_pandas()  # vocabulary-sized
     if len(out) == 0:  # empty corpus: column-less frame
-        out = pd.DataFrame(columns=["term", "n", "bucket"])
+        out = pd.DataFrame(columns=["term", "n"])
     out["n"] = out["n"].astype("int64")
     return (
         out.sort_values(["n", "term"], ascending=[False, True])
@@ -358,18 +351,16 @@ def doc_length_percentiles(sf_dir: str) -> pd.DataFrame:
     )
 
 
-def distinctive_terms(
-    sf_dir: str, top_k: int = 5, n_buckets: int | None = None
-) -> pd.DataFrame:
+def distinctive_terms(sf_dir: str, top_k: int = 5) -> pd.DataFrame:
     """Per-source most-distinctive terms: rank each source's vocabulary by
     how few OTHER sources use the term (document frequency ascending, then
     count descending, then term) and keep the top-k.
 
     The group-wise-top-k composition at corpus scale, in three bounded
     steps: (1) a per-batch (source, term) value_counts combiner shrinks the
-    explode before any shuffle; (2) groupby(term-hash bucket) co-locates
+    explode before any shuffle; (2) a term bucket exchange co-locates
     each term's rows, summing counts and attaching the term's source-df
-    vectorized inside the bucket; (3) groupby(source-hash bucket) runs the
+    vectorized inside the bucket; (3) a source bucket exchange runs the
     per-source top-k on the (vocabulary x source)-sized candidate table —
     the driver only ever sees k rows per source. Integer-exact ordering so
     DuckDB hashes identically. Columns: source, term, cnt, df, rank.
@@ -377,7 +368,7 @@ def distinctive_terms(
     import ray.data
 
     # Pre-aggregated (source, term) rows: ~vocab-sized per batch.
-    mask = resolve_mask(n_buckets, paths=f"{sf_dir}/documents.parquet")
+    path = f"{sf_dir}/documents.parquet"
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
         work = pd.DataFrame(
@@ -388,23 +379,19 @@ def distinctive_terms(
         ).explode("term")
         work = work[work["term"].notna() & (work["term"] != "")]
         out = work.groupby(["source", "term"], as_index=False).size()
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "source": out["source"].astype(str),
                 "term": out["term"].astype(str),
                 "cnt": out["size"].astype("int64"),
             }
         )
-        out["tbucket"] = (
-            pd.util.hash_array(out["term"].to_numpy(dtype=object)) & mask
-        ).astype("int64")
-        return out
 
     def _attach_df(g: pd.DataFrame) -> pd.DataFrame:
         """Per term bucket: final (source, term) counts + each term's df."""
         agg = g.groupby(["source", "term"], as_index=False).agg(cnt=("cnt", "sum"))
         df_per_term = agg.groupby("term")["source"].nunique()
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "source": agg["source"].astype(str),
                 "term": agg["term"].astype(str),
@@ -412,10 +399,6 @@ def distinctive_terms(
                 "df": agg["term"].map(df_per_term).astype("int64"),
             }
         )
-        out["sbucket"] = (
-            pd.util.hash_array(out["source"].to_numpy(dtype=object)) & mask
-        ).astype("int64")
-        return out
 
     def _topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
@@ -433,17 +416,11 @@ def distinctive_terms(
             }
         )
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "text"]
+    ds = ray.data.read_parquet(path, columns=["source", "text"])
+    per_term = bucket_exchange(
+        ds.map_batches(_partial, batch_format="pandas"), "term", _attach_df, size_from=path
     )
-    out = (
-        ds.map_batches(_partial, batch_format="pandas")
-        .groupby("tbucket")
-        .map_groups(_attach_df, batch_format="pandas")
-        .groupby("sbucket")
-        .map_groups(_topk, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_exchange(per_term, "source", _topk, size_from=path).to_pandas()
     if len(out) == 0:
         return pd.DataFrame(
             {"source": [], "term": [], "cnt": [], "df": [], "rank": []}
@@ -456,9 +433,7 @@ def distinctive_terms(
 # ---------------------------------------------------------------------------
 
 
-def bigram_coverage(
-    sf_dir: str, min_count: int = 5, n_buckets: int | None = None
-) -> ray.data.Dataset:
+def bigram_coverage(sf_dir: str, min_count: int = 5) -> ray.data.Dataset:
     """Per-document common-bigram coverage against a corpus bigram table —
     the integer-exact core of CCNet/KenLM-style perplexity filtering
     (documents whose word bigrams rarely occur in the corpus LM are noise).
@@ -483,7 +458,7 @@ def bigram_coverage(
 
     path = f"{sf_dir}/documents.parquet"
     # Bigram occurrence rows ~ one per token — expansion ~16 over file bytes.
-    mask = resolve_mask(n_buckets, paths=path, expansion=16.0)
+    expansion = 16.0
 
     def _doc_bigrams(df: pd.DataFrame):
         """Vectorized (doc_index, bigram) explode: one concatenate + one
@@ -500,22 +475,15 @@ def bigram_coverage(
         return di[:-1][same], left.str.cat(right, sep=" ")
 
     def _count_partial(df: pd.DataFrame) -> pd.DataFrame:
-        """Per-batch partial bigram counts, tagged with the same coarse
-        g-hash bucket the join shuffles on — the count REDUCTION happens
-        inside the join's bucket (one wide op, not two)."""
+        """Per-batch partial bigram counts, exchanged on the same ``g`` key
+        as the doc rows — the count REDUCTION happens inside the join's
+        bucket (one wide op, not two)."""
         _, g = _doc_bigrams(df)
         vc = g.value_counts()
-        gs = vc.index.astype(str)
-        h = (
-            pd.util.hash_array(gs.to_numpy(dtype=object)).astype("int64") & mask
-            if len(gs)
-            else np.zeros(0, dtype="int64")
-        )
         return pd.DataFrame(
             {
-                "bucket": h,
                 "side": np.ones(len(vc), dtype="int8"),
-                "g": gs,
+                "g": vc.index.astype(str),
                 "doc_id": np.zeros(len(vc), dtype="int64"),
                 "mult": vc.to_numpy(dtype="int64"),  # partial corpus count
             }
@@ -530,17 +498,10 @@ def bigram_coverage(
             .size()
             .reset_index(name="mult")
         )
-        gs = per["g"].astype(str)
-        h = (
-            pd.util.hash_array(gs.to_numpy(dtype=object)).astype("int64") & mask
-            if len(gs)
-            else np.zeros(0, dtype="int64")
-        )
         return pd.DataFrame(
             {
-                "bucket": h,
                 "side": np.zeros(len(per), dtype="int8"),
-                "g": gs,
+                "g": per["g"].astype(str),
                 "doc_id": per["doc_id"].astype("int64"),
                 "mult": per["mult"].astype("int64"),  # per-doc multiplicity
             }
@@ -579,49 +540,31 @@ def bigram_coverage(
     count_partials = ray.data.read_parquet(path, columns=["text"]).map_batches(
         _count_partial, batch_format="pandas"
     )
-    joined = (
-        count_partials.union(docs_tagged)
-        .groupby("bucket")
-        .map_groups(_join, batch_format="pandas")
+    joined = bucket_exchange(
+        count_partials.union(docs_tagged), "g", _join, size_from=path, expansion=expansion
     )
 
     # Per-doc rollup: zero rows for ALL docs (so empty/one-word documents
     # report zeros) union'ed with the per-bucket partials, reduced in a
-    # second coarse-bucketed map_groups — two wide ops total.
+    # second bucket exchange — two wide ops total.
     def _zero_rows(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].astype("int64")
         return pd.DataFrame(
             {
-                "dbucket": ids.to_numpy() & mask,
-                "doc_id": ids,
+                "doc_id": df["doc_id"].astype("int64"),
                 "n_bigrams": np.zeros(len(df), dtype="int64"),
                 "n_common": np.zeros(len(df), dtype="int64"),
-            }
-        )
-
-    def _dtag(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].astype("int64")
-        return pd.DataFrame(
-            {
-                "dbucket": ids.to_numpy() & mask,
-                "doc_id": ids,
-                "n_bigrams": df["n_bigrams"].astype("int64"),
-                "n_common": df["n_common"].astype("int64"),
             }
         )
 
     all_docs = ray.data.read_parquet(path, columns=["doc_id"]).map_batches(
         _zero_rows, batch_format="pandas"
     )
-    return (
-        all_docs.union(joined.map_batches(_dtag, batch_format="pandas"))
-        .groupby("dbucket")
-        .map_groups(
-            lambda g: g.groupby("doc_id", as_index=False)[
-                ["n_bigrams", "n_common"]
-            ].sum(),
-            batch_format="pandas",
-        )
+    return bucket_exchange(
+        all_docs.union(joined),
+        "doc_id",
+        lambda g: g.groupby("doc_id", as_index=False)[["n_bigrams", "n_common"]].sum(),
+        size_from=path,
+        expansion=expansion,
     )
 
 
@@ -647,6 +590,8 @@ def term_cooccurrence(sf_dir: str, window: int = 5, k: int = 20) -> pd.DataFrame
     import ray.data
 
     sep = "\x1f"
+    # A fixed 256 buckets, not bucket_exchange: the driver collects
+    # k x n_buckets rows, so the count must stay small.
     mask = (1 << 8) - 1
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -729,6 +674,8 @@ def source_length_percentiles(sf_dir: str) -> pd.DataFrame:
     import numpy as np
     import ray.data
 
+    # A fixed 256 buckets, not bucket_exchange: the driver collects
+    # |sources| x |pcts| rows and the shuffle moves small histogram rows.
     mask = (1 << 8) - 1
     pcts = [10, 25, 50, 75, 90, 99]
 
@@ -779,7 +726,7 @@ def source_length_percentiles(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["source", "pct"]).reset_index(drop=True)
 
 
-def tfidf_top_terms(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def tfidf_top_terms(sf_dir: str) -> ray.data.Dataset:
     """Per-document keyword extraction: the term maximizing tf/df (term
     frequency over corpus document frequency — tf-idf's ordering without
     the log, so both engines compare identical IEEE doubles; ties break by
@@ -790,11 +737,10 @@ def tfidf_top_terms(sf_dir: str, n_buckets: int | None = None) -> ray.data.Datas
     it joins through a shuffle, never a broadcast):
 
     1. per-batch combiner emits per-(doc, term) tf rows plus per-batch
-       partial dfs (distinct docs per term in the batch), both keyed by
-       hash(term) & mask;
-    2. per-term-bucket map_groups sums the dfs and attaches them to the
+       partial dfs (distinct docs per term in the batch);
+    2. a term bucket exchange sums the dfs and attaches them to the
        tf rows with one vectorized merge;
-    3. per-doc-bucket map_groups takes each doc's argmax by
+    3. a doc_id bucket exchange takes each doc's argmax by
        (tf/df desc, term asc).
 
     Columns: doc_id, term, tf, df (int64 counts). Empty docs emit no row.
@@ -803,9 +749,8 @@ def tfidf_top_terms(sf_dir: str, n_buckets: int | None = None) -> ray.data.Datas
     import ray.data
 
     # Per-(doc, term) tf rows ~ token-count-bounded — expansion ~8.
-    mask = resolve_mask(
-        n_buckets, paths=f"{sf_dir}/documents.parquet", expansion=8.0
-    )
+    path = f"{sf_dir}/documents.parquet"
+    expansion = 8.0
 
     def _tag(df: pd.DataFrame) -> pd.DataFrame:
         work = pd.DataFrame(
@@ -816,33 +761,19 @@ def tfidf_top_terms(sf_dir: str, n_buckets: int | None = None) -> ray.data.Datas
         ).explode("term")
         work = work[work["term"].notna() & (work["term"] != "")]
         tf = work.groupby(["doc_id", "term"], as_index=False).size()
-        terms = tf["term"].astype(str)
-        h = (
-            pd.util.hash_array(terms.to_numpy(dtype=object)).astype("int64") & mask
-            if len(tf)
-            else np.zeros(0, dtype="int64")
-        )
         tf_rows = pd.DataFrame(
             {
-                "bucket": h,
                 "side": np.zeros(len(tf), dtype="int8"),
-                "term": terms,
+                "term": tf["term"].astype(str),
                 "doc_id": tf["doc_id"].astype("int64"),
                 "n": tf["size"].astype("int64"),  # tf
             }
         )
         pdf = tf.groupby("term", as_index=False).size()  # distinct docs per term
-        terms2 = pdf["term"].astype(str)
-        h2 = (
-            pd.util.hash_array(terms2.to_numpy(dtype=object)).astype("int64") & mask
-            if len(pdf)
-            else np.zeros(0, dtype="int64")
-        )
         df_rows = pd.DataFrame(
             {
-                "bucket": h2,
                 "side": np.ones(len(pdf), dtype="int8"),
-                "term": terms2,
+                "term": pdf["term"].astype(str),
                 "doc_id": np.zeros(len(pdf), dtype="int64"),
                 "n": pdf["size"].astype("int64"),  # partial df
             }
@@ -856,7 +787,6 @@ def tfidf_top_terms(sf_dir: str, n_buckets: int | None = None) -> ray.data.Datas
         if len(tf) == 0:
             return pd.DataFrame(
                 {
-                    "dbucket": pd.Series([], dtype="int64"),
                     "doc_id": pd.Series([], dtype="int64"),
                     "term": pd.Series([], dtype=str),
                     "tf": pd.Series([], dtype="int64"),
@@ -866,7 +796,6 @@ def tfidf_top_terms(sf_dir: str, n_buckets: int | None = None) -> ray.data.Datas
         attached = dfs.reindex(tf["term"]).to_numpy("int64")
         return pd.DataFrame(
             {
-                "dbucket": tf["doc_id"].to_numpy("int64") & mask,
                 "doc_id": tf["doc_id"].astype("int64"),
                 "term": tf["term"].astype(str),
                 "tf": tf["n"].astype("int64"),
@@ -881,14 +810,15 @@ def tfidf_top_terms(sf_dir: str, n_buckets: int | None = None) -> ray.data.Datas
         best = g.groupby("doc_id", as_index=False).head(1)
         return best[["doc_id", "term", "tf", "df"]].reset_index(drop=True)
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return (
-        ds.map_batches(_tag, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(_attach_df, batch_format="pandas")
-        .groupby("dbucket")
-        .map_groups(_argmax, batch_format="pandas")
+    ds = ray.data.read_parquet(path, columns=["doc_id", "text"])
+    attached = bucket_exchange(
+        ds.map_batches(_tag, batch_format="pandas"),
+        "term",
+        _attach_df,
+        size_from=path,
+        expansion=expansion,
     )
+    return bucket_exchange(attached, "doc_id", _argmax, size_from=path, expansion=expansion)
 
 
 # ---------------------------------------------------------------------------

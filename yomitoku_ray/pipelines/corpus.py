@@ -35,7 +35,7 @@ import pandas as pd
 import ray.data
 
 from ..functions.buckets import resolve_mask
-from .extract import ExtractConfig, extract_pages
+from .extract import ExtractConfig, build_extract_pipeline, read_pages
 
 
 @dataclass
@@ -43,17 +43,11 @@ class CorpusConfig:
     extract: ExtractConfig | None = None
     min_words: int = 5
     max_dup_word_frac_pct: int = 50  # drop if 100*(1 - unique/total) > this
-    # the dedup exchange groups by digest & (digest_buckets-1); a whole
-    # bucket is held in one map_groups call, so the count must scale with
-    # the input. None (default) applies functions/buckets.py's sizing rule
-    # to the pages path (next_pow2(file_bytes / 64 MiB), floor 1024, cap
-    # 2^22 — uniform digest keys -> uniform buckets); set explicitly to
-    # override.
-    digest_buckets: int | None = None
     # streaming_dedup=True swaps the digest-bucket shuffle for the
-    # sharded actor index (state/dedup_index.py): no all-to-all exchange
-    # and the index persists across runs (incremental-crawl dedup), at
-    # the cost of arrival-order survivor choice and no n_copies column.
+    # sharded actor index (state/dedup_index.py): no all-to-all exchange,
+    # at the cost of arrival-order survivor choice and no n_copies column.
+    # build_corpus creates a fresh index on every call, so it dedups
+    # within one build only.
     streaming_dedup: bool = False
     # language allowlist, pushed down INTO the parquet read as a row
     # filter — excluded pages never leave storage (row-group pruning),
@@ -117,41 +111,31 @@ def build_corpus(pages_path: str, cfg: CorpusConfig | None = None) -> ray.data.D
     """pages parquet -> deduplicated, quality-filtered corpus Dataset
     (columns: digest, url, warc_ts, lang, text, n_words, n_copies)."""
     cfg = cfg or CorpusConfig()
-    mask = resolve_mask(cfg.digest_buckets, paths=pages_path)
-    if cfg.langs is not None or cfg.url_filter:
+    extract_cfg = cfg.extract or ExtractConfig()
+    lang_filter = None
+    if cfg.langs is not None:
         import pyarrow.compute as pc
         import pyarrow.dataset  # noqa: F401  (registers expression filtering)
 
-        from .extract import PAGES_COLUMNS, ExtractConfig, build_extract_pipeline
+        lang_filter = pc.field("lang").isin(list(cfg.langs))
+    src = read_pages(pages_path, cfg=extract_cfg, filter=lang_filter)
+    if cfg.url_filter:
+        import pyarrow as pa
 
-        src = ray.data.read_parquet(
-            pages_path,
-            columns=list(PAGES_COLUMNS),
-            filter=(
-                pc.field("lang").isin(list(cfg.langs))
-                if cfg.langs is not None
-                else None
-            ),
-        )
-        if cfg.url_filter:
-            import pyarrow as pa
+        from ..functions.merge import url_keep_mask
 
-            from ..functions.merge import url_keep_mask
+        def _url_gate(batch: pa.Table) -> pa.Table:
+            keep = url_keep_mask(batch.column("url").to_pandas())
+            return batch.filter(pa.array(keep))
 
-            def _url_gate(batch: pa.Table) -> pa.Table:
-                keep = url_keep_mask(batch.column("url").to_pandas())
-                return batch.filter(pa.array(keep))
-
-            src = src.map_batches(_url_gate, batch_format="pyarrow")
-        ds = build_extract_pipeline(src, cfg.extract or ExtractConfig())
-    else:
-        ds = extract_pages(pages_path, cfg.extract)
+        src = src.map_batches(_url_gate, batch_format="pyarrow")
+    ds = build_extract_pipeline(src, extract_cfg)
     cleaned = ds.map_batches(
         _clean_batch,
         fn_kwargs={
             "min_words": cfg.min_words,
             "max_dup_pct": cfg.max_dup_word_frac_pct,
-            "mask": mask,
+            "mask": resolve_mask(paths=pages_path),
         },
         batch_format="pandas",
     )
@@ -162,6 +146,8 @@ def build_corpus(pages_path: str, cfg: CorpusConfig | None = None) -> ray.data.D
             StreamingDedupFilter(create_dedup_index(), column="digest"),
             batch_format="pyarrow",
         )
+    # Its own groupby, not bucket_exchange: ccbench measures this exchange
+    # by calling _clean_batch(..., mask=) directly, so the tag stays in it.
     return cleaned.groupby("bucket").map_groups(_dedup_bucket, batch_format="pandas")
 
 

@@ -45,11 +45,14 @@ class ExtractConfig:
     read_num_blocks: int | None = None
 
 
-def read_pages(path, columns=PAGES_COLUMNS, cfg: "ExtractConfig | None" = None):
-    """Column-pruned read of a pages parquet dir/file."""
+def read_pages(path, columns=PAGES_COLUMNS, cfg: "ExtractConfig | None" = None, filter=None):
+    """Column-pruned read of a pages parquet dir/file; ``filter`` (a
+    pyarrow expression) is pushed into the scan as a row filter."""
     kwargs = {}
     if cfg is not None and cfg.read_num_blocks:
         kwargs["override_num_blocks"] = cfg.read_num_blocks
+    if filter is not None:
+        kwargs["filter"] = filter
     return ray.data.read_parquet(path, columns=list(columns), **kwargs)
 
 

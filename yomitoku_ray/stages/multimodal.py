@@ -3,7 +3,7 @@
 Images/audio/video ride as ``binary`` columns with struct metadata. One
 magic-byte sniff (:func:`sniff_format`) names each image's format; the
 metadata sniff reports it and ``DecoderBackend`` decodes with that
-format's codec alone. Pixel decode, resize and feature extraction are REAL
+format's codec alone. Pixel decode and feature extraction are REAL
 for every shipped codec (PNG/GIF/JPEG incl. progressive+arithmetic/BMP/
 TIFF/lossless WebP/netpbm — pure zlib+numpy, ``kernels/``). Lossy VP8
 WebP is sniffed (format and dimensions) but not decoded. An unrecognised
@@ -16,7 +16,7 @@ large payloads, metadata extraction without full decode.
 Reference anchor: the engine's image path (figure crops,
 ``/root/reference/src/yomitoku/export/export_markdown.py:70-111``) emits
 binary blobs as columns instead of side files (SURVEY S9), and these stages
-are the continuation of that column into decode / resize / feature-extract
+are the continuation of that column into decode / feature-extract
 operators a training-data pipeline needs.
 """
 
@@ -30,12 +30,7 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
-from ..kernels.png import (
-    block_mean_embedding,
-    encode_png,
-    resize_nearest,
-    to_gray,
-)
+from ..kernels.png import block_mean_embedding, to_gray
 
 IMAGE_META = pa.struct(
     [
@@ -245,43 +240,6 @@ class ImageFeatureStage:
         return batch.append_column("image_features", pa.array(feats, IMAGE_FEATURES))
 
 
-class ImageResizeStage:
-    """Stage: real resize (decode -> nearest-neighbor -> PNG
-    re-encode) for every decodable format (PNG/GIF/JPEG/BMP/TIFF/lossless
-    WebP/netpbm via :class:`DecoderBackend`); the normalized output is
-    always PNG.
-
-    Undecodable payloads pass through unchanged with ``resized=False`` —
-    resize without a decoder would be a lie. Small batches: payloads are
-    re-encoded in-stage and both copies briefly coexist.
-    """
-
-    def __init__(self, out_w: int, out_h: int, blob_column: str = "image"):
-        self.out_w = out_w
-        self.out_h = out_h
-        self.blob_column = blob_column
-        self.backend = DecoderBackend(mode="strict")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_blobs, flags = [], []
-        for blob in batch.column(self.blob_column).to_pylist():
-            try:
-                px = self.backend.decode_image(blob or b"")
-            except (ValueError, NotImplementedError):
-                out_blobs.append(blob)
-                flags.append(False)
-                continue
-            if px.shape[2] == 4:
-                px = px[:, :, :3]  # normalize to RGB before PNG re-encode
-            elif px.shape[2] == 1:
-                px = px.repeat(3, axis=2)
-            out_blobs.append(encode_png(resize_nearest(px, self.out_w, self.out_h)))
-            flags.append(True)
-        idx = batch.schema.get_field_index(self.blob_column)
-        batch = batch.set_column(idx, self.blob_column, pa.array(out_blobs, pa.binary()))
-        return batch.append_column("resized", pa.array(flags, pa.bool_()))
-
-
 AUDIO_FEATURES = pa.struct(
     [
         ("duration_ms", pa.int64()),
@@ -325,66 +283,6 @@ class AudioFeatureStage:
                 }
             feats.append(f)
         return batch.append_column("audio_features", pa.array(feats, AUDIO_FEATURES))
-
-
-class FrameSampleStage:
-    """Flat-map stage: container column -> sampled frame rows.
-
-    The video-decode analogue over this repo's binary page containers (the
-    sandbox ships no video codecs, so the container IS the multi-frame
-    stand-in; the stage shape — one row in, ``n_frames`` uniformly-sampled
-    frame rows out, per-row error isolation — is the real Ray-side contract
-    a video pipeline needs). Frames index uniformly across the container:
-    positions floor(i * (N-1) / (n_frames-1)) for i in 0..n_frames-1,
-    deduplicated for short containers.
-    """
-
-    def __init__(self, n_frames: int = 4, blob_column: str = "doc_bytes", key_column: str = "doc_url"):
-        self.n_frames = n_frames
-        self.blob_column = blob_column
-        self.key_column = key_column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..sources.paged import decode_paged_doc
-
-        keys, idxs, totals, frames, errs = [], [], [], [], []
-        for key, blob in zip(
-            batch.column(self.key_column).to_pylist(),
-            batch.column(self.blob_column).to_pylist(),
-        ):
-            try:
-                pages = decode_paged_doc(blob or b"")
-            except ValueError as e:
-                keys.append(key)
-                idxs.append(-1)
-                totals.append(0)
-                frames.append(b"")
-                errs.append(str(e))
-                continue
-            if not pages:
-                continue
-            n = min(self.n_frames, len(pages))
-            if n == 1:
-                positions = [0]
-            else:
-                positions = sorted(
-                    {i * (len(pages) - 1) // (n - 1) for i in range(n)}
-                )
-            for p in positions:
-                keys.append(key)
-                idxs.append(p)
-                totals.append(len(pages))
-                frames.append(pages[p])
-                errs.append(None)
-        return pa.table(
-            {
-                self.key_column: pa.array(keys, pa.string()),
-                "frame_idx": pa.array(idxs, pa.int32()),
-                "n_total_frames": pa.array(totals, pa.int32()),
-                "frame": pa.array(frames, pa.binary()),
-                "sample_error": pa.array(errs, pa.string()),
-            }
-        )
 
 
 def make_fake_png(width: int, height: int, seed: int = 0) -> bytes:
