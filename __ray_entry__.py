@@ -556,7 +556,7 @@ def _url_dedup_recrawl(sf_dir: str) -> pd.DataFrame:
     synthetic 2h-later recrawl of every page (deterministic in both engines)."""
     import ray.data
 
-    from yomitoku_ray.functions.merge import url_dedup_first_fast
+    from yomitoku_ray.functions.merge import url_dedup_first
 
     cols = ["url", "warc_ts", "text", "lang"]
     ds = ray.data.read_parquet(_pages_path(sf_dir), columns=cols)
@@ -572,7 +572,7 @@ def _url_dedup_recrawl(sf_dir: str) -> pd.DataFrame:
 
     # Arrow-in, Arrow-out keeps both union branches on the same block type.
     both = ds.union(ds.map_batches(_recrawl, batch_format="pyarrow"))
-    first = url_dedup_first_fast(both)
+    first = url_dedup_first(both)
 
     def _digest(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(

@@ -76,6 +76,60 @@ def _hamming_pairs(sf_dir):
     return hamming_pairs_u64(ds, "id", "h")
 
 
+def _pages(columns):
+    import ray.data
+
+    from yomitoku_ray.synth.pages import ensure_pages_parquet
+
+    return ray.data.read_parquet(ensure_pages_parquet(SF), columns=columns)
+
+
+def _url_dedup_first(sf_dir):
+    """url_dedup_first over the pages, a later and an earlier recrawl, and
+    a same-timestamp copy with other text (the tie rule)."""
+    import ray.data
+
+    from yomitoku_ray.functions.merge import url_dedup_first
+
+    df = _pages(["url", "warc_ts", "text"]).to_pandas()
+    copies = [(2, " later"), (-2, " earlier"), (0, " tie")]
+    both = pd.concat(
+        [df]
+        + [
+            df.assign(warc_ts=df["warc_ts"] + pd.Timedelta(hours=h), text=df["text"] + s)
+            for h, s in copies
+        ]
+    )
+    return url_dedup_first(ray.data.from_pandas([both.iloc[i::8] for i in range(8)]))
+
+
+def _merge_pages_by_domain(sf_dir):
+    from yomitoku_ray.functions.merge import merge_pages_by_domain
+
+    return merge_pages_by_domain(_pages(["url", "text"]), text_column="text", max_pages_per_domain=20)
+
+
+def _merge_pages_by_domain_salted(sf_dir):
+    from yomitoku_ray.functions.merge import merge_pages_by_domain_salted
+
+    return merge_pages_by_domain_salted(_pages(["url", "text"]), text_column="text")
+
+
+def _merge_exploded_pages(sf_dir):
+    """Three pages per document, recovered from the ``url#page=N`` form."""
+    from yomitoku_ray.functions.merge import merge_exploded_pages
+
+    def _explode(df):
+        return pd.concat(
+            [
+                pd.DataFrame({"url": df["url"] + f"#page={k}", "extracted_text": df["text"] + str(k)})
+                for k in (2, 0, 1)
+            ]
+        )
+
+    return merge_exploded_pages(_pages(["url", "text"]).map_batches(_explode, batch_format="pandas"))
+
+
 CASES = {
     "minhash_lsh_pairs": ("dedup", {"max_bucket": 4096}),
     "dup_ngram_spans": ("dedup", {}),
@@ -99,6 +153,18 @@ CASES = {
     "top_supplier_per_nation": ("relational", {}),
     "events_funnel": ("relational", {}),
     "events_retention": ("relational", {}),
+    "url_dedup_first": (_url_dedup_first, {}),
+    "merge_pages_by_domain": (_merge_pages_by_domain, {}),
+    "merge_pages_by_domain_salted": (_merge_pages_by_domain_salted, {}),
+    "merge_exploded_pages": (_merge_exploded_pages, {}),
+    "soft_dedup_weights": ("dedup", {}),
+    "corpus_prep": ("text_stats", {}),
+    "term_cooccurrence": ("text_stats", {}),
+    "source_length_percentiles": ("text_stats", {}),
+    "ccnet_perplexity": ("text_stats", {}),
+    "nb_classifier": ("text_stats", {}),
+    "hll_distinct_tokens": ("sketch", {}),
+    "cms_top_term_counts": ("sketch", {}),
 }
 
 

@@ -90,16 +90,9 @@ def test_domain_skew_probe(ray_session, result_ds_rows):
     assert probe.iloc[0]["n_pages"] == 40
 
 
-def test_url_dedup_fast_equals_slow(ray_session, tmp_path):
-    """Join-based url dedup reproduces the per-group map_groups dedup
-    exactly on a synthetic recrawl (unique (url, warc_ts) pairs)."""
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from yomitoku_ray.functions.merge import url_dedup_first, url_dedup_first_fast
-
+def test_url_dedup_first_matches_pandas_on_recrawls(ray_session, tmp_path):
+    """url_dedup_first keeps the min-warc_ts row per url on a synthetic
+    recrawl with later and EARLIER recrawls, equal to a pandas expectation."""
     rows = []
     for i in range(200):
         rows.append({"url": f"https://x/{i:04d}", "warc_ts": 1000 + i, "lang": "ja", "text": f"v1-{i}"})
@@ -107,14 +100,33 @@ def test_url_dedup_fast_equals_slow(ray_session, tmp_path):
             rows.append({"url": f"https://x/{i:04d}", "warc_ts": 5000 + i, "lang": "ja", "text": f"v2-{i}"})
         if i % 7 == 0:  # recrawl EARLIER than the base row
             rows.append({"url": f"https://x/{i:04d}", "warc_ts": 10 + i, "lang": "ja", "text": f"v0-{i}"})
-    t = pa.Table.from_pylist(rows)
-    pq.write_table(t, str(tmp_path / "pages.parquet"))
+    pq.write_table(pa.Table.from_pylist(rows), str(tmp_path / "pages.parquet"))
     ds = ray.data.read_parquet(str(tmp_path / "pages.parquet"))
     cols = ["url", "warc_ts", "lang", "text"]
-    slow = url_dedup_first(ds).to_pandas()[cols].sort_values("url").reset_index(drop=True)
-    fast = url_dedup_first_fast(ds, num_partitions=4).to_pandas()[cols].sort_values("url").reset_index(drop=True)
-    assert fast.equals(slow)
-    assert (fast[fast["url"] == "https://x/0000"]["text"] == "v0-0").all()
+    got = url_dedup_first(ds).to_pandas()[cols].sort_values("url").reset_index(drop=True)
+    want = (
+        pd.DataFrame(rows)
+        .sort_values(["url", "warc_ts"])
+        .drop_duplicates("url")[cols]
+        .reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(got, want)
+    assert (got[got["url"] == "https://x/0000"]["text"] == "v0-0").all()
+    assert (got[got["url"] == "https://x/0003"]["text"] == "v1-3").all()
+
+
+def test_url_dedup_first_tie_rule(ray_session, tmp_path):
+    """Rows that tie on (url, warc_ts) resolve by content, not by arrival
+    order: the same rows written in either order keep the same row."""
+    rows = [{"url": "u", "warc_ts": 1, "text": f"t{i}"} for i in range(8)]
+    kept = []
+    for name, order in (("a", rows), ("b", rows[::-1])):
+        path = str(tmp_path / f"{name}.parquet")
+        pq.write_table(pa.Table.from_pylist(order), path, row_group_size=1)
+        out = url_dedup_first(ray.data.read_parquet(path)).to_pandas()
+        assert len(out) == 1
+        kept.append(out.iloc[0]["text"])
+    assert kept[0] == kept[1]
 
 
 def test_url_quality_features_and_gate(ray_session, tmp_path):

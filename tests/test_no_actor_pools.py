@@ -4,7 +4,9 @@ CPUs until Ray drops the operator, which a kept exception can delay without
 bound. So no ``map_batches`` call in the engine or the driver queries may
 build an actor pool: no class as the function, no ``fn_constructor_kwargs``,
 no ``num_cpus`` reservation and no ``(min, max)`` pool-size ``concurrency``.
-A callable stage is passed as an instance. The only actors are the
+A callable stage is passed as an instance. No ``Dataset.join`` either: its
+hash-shuffle aggregators are actors too, and on a one- or two-CPU cluster
+they wait for CPUs and memory they never get. The only actors are the
 ``num_cpus=0`` shards of ``state/dedup_index.py``."""
 
 import ast
@@ -56,6 +58,25 @@ def test_no_map_batches_builds_an_actor_pool():
         for arg in _pool_arguments(node)
     ]
     assert not offenders, "actor-pool map_batches:\n" + "\n".join(offenders)
+
+
+def _is_dataset_join(call: ast.Call) -> bool:
+    """A ``.join`` call shaped like ``Dataset.join(ds, join_type, num_partitions,
+    ...)``: ``str.join`` takes one argument, and ``os.path.join`` is named."""
+    if not (isinstance(call.func, ast.Attribute) and call.func.attr == "join"):
+        return False
+    if ast.unparse(call.func.value) in ("os.path", "posixpath"):
+        return False
+    return len(call.args) + len(call.keywords) >= 2
+
+
+def test_no_dataset_join():
+    joins = [
+        f"{path}:{node.lineno}: {ast.unparse(node)[:80]}"
+        for path, node in _nodes()
+        if isinstance(node, ast.Call) and _is_dataset_join(node)
+    ]
+    assert not joins, "Dataset.join (hash-shuffle aggregator actors):\n" + "\n".join(joins)
 
 
 def test_the_dedup_shards_are_the_only_actors():

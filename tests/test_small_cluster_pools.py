@@ -7,7 +7,8 @@ a temporary working directory, so the workers import the engine from
 orders, and each result must equal the single-process oracle with that
 setting: no stage state may carry over from one Dataset to the next. The
 streaming-dedup build must keep one row per digest, as many as the
-digest-shuffle build keeps."""
+digest-shuffle build keeps. Url dedup over the pages and their recrawl
+must keep one row per url."""
 
 import os
 import signal
@@ -26,8 +27,10 @@ import time
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
+import ray.data
 
 ray.init(address="local", num_cpus=int(sys.argv[1]), include_dashboard=False, logging_level="ERROR")
+from yomitoku_ray.functions.merge import url_dedup_first
 from yomitoku_ray.oracle import analyze_html_bytes
 from yomitoku_ray.pipelines.corpus import CorpusConfig, build_corpus
 from yomitoku_ray.pipelines.extract import ExtractConfig, extract_pages
@@ -71,6 +74,10 @@ for name, build in runs:
     bad = oracle_mismatches(rows, name.split("-")[1]) if name.startswith("extract") else 0
     n_ok = sum(row["error"] is None for row in rows)
     print("ROWS", name, len(rows), n_ok, held, bad, flush=True)
+
+crawl = ray.data.read_parquet(path, columns=["url", "warc_ts"])
+rows = url_dedup_first(crawl.union(crawl)).to_pandas()
+print("ROWS", "url_dedup", len(rows), rows["url"].nunique(), len(pages), held_cpus_after(2.0), flush=True)
 
 rows = pa.concat_tables(ray.get(build_corpus(path, CorpusConfig(streaming_dedup=True)).to_arrow_refs())).to_pylist()
 held = held_cpus_after(2.0)
@@ -118,6 +125,9 @@ def test_page_pipelines_finish_on_a_small_cluster(num_cpus, tmp_path):
         assert int(n_rows) == 50 and int(n_ok) >= 45, (name, rows[name])
         assert float(held) == 0.0, f"{name}: {held} CPUs still held 2 s after it returned"
         assert int(bad) == 0, f"{name}: {bad} rows differ from the oracle"
+    n_rows, n_urls, n_pages, held = rows["url_dedup"]
+    assert int(n_rows) == int(n_urls) == int(n_pages), rows["url_dedup"]
+    assert float(held) == 0.0, f"url_dedup: {held} CPUs still held 2 s after it returned"
     n_rows, n_digests, n_shuffle_dedup, held = rows["corpus"]
     assert 0 < int(n_rows) == int(n_digests) == int(n_shuffle_dedup), rows["corpus"]
     assert float(held) == 0.0, f"corpus: {held} CPUs still held 2 s after it returned"

@@ -11,8 +11,12 @@ releases. Pin it here, once, with the rationale:
   per batch and key on uniform coarse buckets, so shuffle volume per stage
   is modest and the stable pull-based sort path is the right default.
 - ``RAY_DATA_DEFAULT_SHUFFLE_STRATEGY`` still overrides per deployment
-  (e.g. ``hash_shuffle`` aggregators or push-based on very large clusters)
-  — an explicit env choice, not a silent default, wins below.
+  (e.g. push-based on very large clusters) — an explicit env choice, not a
+  silent default, wins below. ``hash_shuffle`` is not a safe choice: its
+  aggregators are actors that each reserve CPU and memory up front, and on
+  a one- or two-CPU cluster they wait for resources they never get. For the
+  same reason no operator calls ``Dataset.join``, which always runs on
+  them.
 """
 
 from __future__ import annotations

@@ -108,6 +108,7 @@ def bpe_train(
     freq = (
         ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
         .map_batches(_partial, batch_format="pandas")
+        # plain groupby: a native aggregate calls no Python per group
         .groupby("word")
         .aggregate(Sum("n", alias_name="n"))
         .to_pandas()  # vocabulary-sized

@@ -1,13 +1,31 @@
-"""The coarse bucket exchange behind the wide operators.
+"""The one hash-keyed exchange behind the wide operators.
 
-Every heavy exchange in this package (minhash banding, simhash chunks,
-dup-component propagation, window/segment/bigram explodes, the relational
-per-entity kernels) groups rows by ``hash(key) & mask`` and hands each
-WHOLE bucket to one pandas call: :func:`bucket_exchange` is that one
-composition. A per-key groupby would pay Ray's per-group overhead (~90 us
-per ``map_groups`` group, measured in round 2) once per key; a coarse
-bucket pays it once per bucket and the operator resolves its keys
-vectorized inside the frame.
+Every hash-keyed exchange in ``functions/`` (minhash banding, simhash
+chunks, dup-component propagation, window/segment/bigram explodes, the
+relational per-entity kernels, url dedup, the page merges, and the
+per-batch partial reductions of the sketches and count models) groups rows
+by ``hash(key) & mask`` and hands each WHOLE bucket to one pandas call:
+:func:`bucket_exchange` is that one composition. A per-key groupby would
+pay Ray's per-group overhead (~90 us per ``map_groups`` group, measured in
+round 2) once per key; a coarse bucket pays it once per bucket and the
+operator resolves its keys vectorized inside the frame.
+
+What goes through it and what stays a plain Ray ``groupby``:
+
+- a key whose distinct count grows with the corpus (url, domain, digest,
+  doc id, pair key, a partial's value-space key) goes through
+  :func:`bucket_exchange`;
+- a dimension-sized key (query id, k-means label, source, nation, one
+  global group) stays a plain ``groupby``: its group count is already
+  coarse;
+- buckets that carry meaning stay a plain ``groupby`` because the
+  function reads the bucket id: ordered doc-id ranges (``shuffle_rank``,
+  ``pack_sequences``) and LSH buckets (``ann_lsh``);
+- a native ``.aggregate(Sum/Min/...)`` stays: it never calls Python per
+  group.
+
+No operator joins with ``Dataset.join``: its hash-shuffle aggregators are
+actors that hold CPUs and memory a small cluster does not have.
 
 A bucket is held in one task's heap, so the bucket count sets peak
 per-task memory: it must scale with the input, not sit at a constant.
@@ -25,8 +43,10 @@ Sizing rule (worked out on the driver, never passed in):
   heap; 64 MiB of estimated exchange bytes leaves an order of magnitude of
   headroom against pandas overhead inside a multi-GiB worker heap.
 - The floor (1024) amortizes the per-group overhead and is what an
-  exchange without input files (``size_from=None``) gets; the cap (4M
-  buckets) bounds the shuffle's metadata at any input size.
+  exchange without input files (``size_from=None``) gets: the per-batch
+  partial reductions, whose rows are bounded by a value space (sketch
+  registers, model buckets, histogram values), not by the corpus. The cap
+  (4M buckets) bounds the shuffle's metadata at any input size.
 
 Result invariance: the bucket only co-locates work — every operator
 computes exact within-bucket results and the union over buckets is the
@@ -105,28 +125,35 @@ def resolve_mask(
     return MIN_BUCKETS - 1
 
 
-def bucket_exchange(ds, key: str, fn, *, size_from=None, expansion: float = 1.0):
-    """Group ``ds`` by ``hash(key) & mask`` and return ``fn`` applied to
+def bucket_exchange(inputs, key: str, fn, *, size_from=None, expansion: float = 1.0):
+    """Group ``inputs`` by ``hash(key) & mask`` and return ``fn`` applied to
     each bucket's pandas frame (``fn`` never sees the bucket column).
+
+    ``inputs`` is one Dataset, or a list of Datasets that share the ``key``
+    column: a union exchange, so equal keys from every input meet in one
+    frame. Each input is tagged before the union, where the tag fuses into
+    that input's last map (Ray does not fuse across a union).
 
     The mask is sized once, here on the driver, from the files or URIs in
     ``size_from`` times ``expansion`` (the floor when ``size_from`` is
-    None). Rows of a union exchange on one shared ``key`` column, so equal
-    keys from both sides meet in one frame."""
+    None)."""
     mask = resolve_mask(paths=size_from, expansion=expansion)
 
     def _tag_bucket(batch):
         bucket = pd.util.hash_array(np.asarray(batch[key])).astype(np.int64) & mask
         if isinstance(batch, pd.DataFrame):
             return batch.assign(**{_BUCKET: bucket})
-        return batch.append_column(_BUCKET, pa.array(bucket))
+        # Schema metadata makes a pa.Schema unhashable, which Ray's block
+        # schema unification logs as a warning for every block.
+        return batch.append_column(_BUCKET, pa.array(bucket)).replace_schema_metadata()
 
     @functools.wraps(fn)
     def _run(group: pd.DataFrame):
         return fn(group.drop(columns=[_BUCKET]))
 
-    return (
-        ds.map_batches(_tag_bucket, batch_format=None)
-        .groupby(_BUCKET)
-        .map_groups(_run, batch_format="pandas")
-    )
+    if isinstance(inputs, list):
+        first, *rest = (ds.map_batches(_tag_bucket, batch_format=None) for ds in inputs)
+        tagged = first.union(*rest)
+    else:
+        tagged = inputs.map_batches(_tag_bucket, batch_format=None)
+    return tagged.groupby(_BUCKET).map_groups(_run, batch_format="pandas")

@@ -112,6 +112,7 @@ def props_scrub(sf_dir: str) -> pd.DataFrame:
 
     out = (
         scrubbed.map_batches(_partial, batch_format="pandas")
+        # plain groupby: a native aggregate calls no Python per group
         .groupby("event_type")
         .aggregate(
             Sum("n_events", alias_name="n_events"),
@@ -342,6 +343,7 @@ def pack_sequences(
             lambda df: df.groupby("bucket", as_index=False)["n_tokens"].sum(),
             batch_format="pandas",
         )
+        # plain groupby: a native aggregate calls no Python per group
         .groupby("bucket")
         .aggregate(Sum("n_tokens", alias_name="n_tokens"))
         .to_pandas()  # bucket-space-sized
@@ -433,6 +435,7 @@ def quality_topk(sf_dir: str, k: int = 10) -> pd.DataFrame:
     )
     out = (
         ds.map_batches(_partial, batch_format="pandas")
+        # plain groupby: source is dimension-sized
         .groupby("source")
         .map_groups(_final, batch_format="pandas")
     )
@@ -516,11 +519,13 @@ def dedup_corpus(
         )
         return work.groupby("source", as_index=False).sum()
 
-    both = docs.map_batches(_tag_docs, batch_format="pandas").union(
-        drop_ds.map_batches(_tag_drop, batch_format="pandas")
-    )
+    both = [
+        docs.map_batches(_tag_docs, batch_format="pandas"),
+        drop_ds.map_batches(_tag_drop, batch_format="pandas"),
+    ]
     out = (
         bucket_exchange(both, "key", _anti, size_from=path)
+        # plain groupby: a native aggregate calls no Python per group
         .groupby("source")
         .aggregate(
             Sum("n_docs", alias_name="n_docs"),
@@ -564,6 +569,7 @@ def source_mix_weights(sf_dir: str) -> pd.DataFrame:
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["source", "text"])
     out = (
         ds.map_batches(_partial, batch_format="pandas")
+        # plain groupby: a native aggregate calls no Python per group
         .groupby("source")
         .aggregate(Sum("n_docs", alias_name="n_docs"), Sum("n_tokens", alias_name="n_tokens"))
         .to_pandas()  # dimension-sized (one row per source)
@@ -648,10 +654,11 @@ def substring_dedup_rollup(sf_dir: str, w: int = 5) -> pd.DataFrame:
     docs_tagged = ray.data.read_parquet(
         path, columns=["doc_id", "source", "text"]
     ).map_batches(_doc_side, batch_format="pandas")
-    both = docs_tagged.union(spans.map_batches(_span_side, batch_format="pandas"))
+    both = [docs_tagged, spans.map_batches(_span_side, batch_format="pandas")]
     # This join ships one row per doc — expansion ~1 over file bytes.
     out = (
         bucket_exchange(both, "doc_id", _merge, size_from=path)
+        # plain groupby: a native aggregate calls no Python per group
         .groupby("source")
         .aggregate(
             Sum("n_docs", alias_name="n_docs"),
@@ -755,7 +762,7 @@ def segment_dedup(sf_dir: str, seg_words: int = 10) -> ray.data.Dataset:
     kept = bucket_exchange(segs, "seg_text", _keep_singles, size_from=path, expansion=expansion)
     markers = _read().map_batches(_markers, batch_format="pandas")
     return bucket_exchange(
-        kept.union(markers), "doc_id", _rebuild, size_from=path, expansion=expansion
+        [kept, markers], "doc_id", _rebuild, size_from=path, expansion=expansion
     )
 
 
@@ -788,6 +795,7 @@ def corpus_split(sf_dir: str) -> pd.DataFrame:
             f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "text"]
         )
         .map_batches(_assign, batch_format="pandas")
+        # plain groupby: a native aggregate calls no Python per group
         .groupby(["source", "split"])
         .aggregate(
             Sum("n_docs", alias_name="n_docs"),

@@ -41,6 +41,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data
 from ray.data.aggregate import Count, Min, Sum
@@ -99,17 +100,27 @@ def _md5_batch(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
+def _read_doc_text(path: str) -> ray.data.Dataset:
+    """``doc_id, text`` of one parquet file in 32 read blocks, so a
+    per-batch signature stage keeps every core busy on a single file. The
+    read schema leaves out the file's pandas metadata: a schema with
+    metadata is unhashable, and Ray logs a warning each time it joins such
+    blocks into one batch."""
+    fields = pq.read_schema(path)
+    schema = pa.schema([fields.field("doc_id"), fields.field("text")])
+    return ray.data.read_parquet(
+        path, columns=schema.names, schema=schema, override_num_blocks=32
+    )
+
+
 def exact_dedup(sf_dir: str) -> ray.data.Dataset:
     """Hash-partitioned exact dedup: first (min doc_id) wins per content hash.
 
     groupby on the digest: uniform key distribution, no salting needed.
     """
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "text"],
-        override_num_blocks=32,
-    )
+    ds = _read_doc_text(f"{sf_dir}/documents.parquet")
     ds = ds.map_batches(_md5_batch, batch_format="pandas", batch_size=256)
+    # plain groupby: a native aggregate calls no Python per group
     return ds.groupby("text_hash").aggregate(
         Min("doc_id", alias_name="keep_doc_id"),
         Count(alias_name="n_copies"),
@@ -420,11 +431,7 @@ def minhash_lsh_pairs(
     thr_pct = int(round(threshold * 100))
     path = f"{sf_dir}/documents.parquet"
     # Band/doc/pair rows are all O(corpus rows) x small — expansion ~1.
-    # Fine-grained read blocks + small batches keep the signature stage on
-    # every core even when the input is one parquet file.
-    read_kw = {"columns": ["doc_id", "text"], "override_num_blocks": 32}
-    ds = ray.data.read_parquet(path, **read_kw)
-    banded = ds.map_batches(
+    banded = _read_doc_text(path).map_batches(
         _band_rows_fn(num_perm, bands, shingle_k),
         batch_format="pyarrow",
         batch_size=256,
@@ -434,10 +441,10 @@ def minhash_lsh_pairs(
     )
     need = cand.map_batches(_pair_need_rows, batch_format="pyarrow")
 
-    doc_side = ray.data.read_parquet(path, **read_kw).map_batches(
+    doc_side = _read_doc_text(path).map_batches(
         _doc_shingle_rows_fn(shingle_k), batch_format="pyarrow", batch_size=256
     )
-    paired = bucket_exchange(doc_side.union(need), "doc_id", _attach_shingles, size_from=path)
+    paired = bucket_exchange([doc_side, need], "doc_id", _attach_shingles, size_from=path)
     return bucket_exchange(paired, "pair_key", _verify_pairs_factory(thr_pct), size_from=path)
 
 
@@ -566,18 +573,14 @@ def simhash_dup_pairs(
     materialization before the output-sized collection.
     """
     path = f"{sf_dir}/documents.parquet"
-    ds = ray.data.read_parquet(
-        path,
-        columns=["doc_id", "text"],
-        override_num_blocks=32,
-    )
-    chunked = ds.map_batches(
+    chunked = _read_doc_text(path).map_batches(
         _simhash_chunk_rows_fn(n_chunks), batch_format="pyarrow", batch_size=256
     )
     # n_chunks rows/doc: expansion ~1
     pairs = bucket_exchange(
         chunked, "chunk_value", _simhash_bucket_pairs_fn(hamming_max), size_from=path
     )
+    # plain groupby: a native aggregate calls no Python per group
     uniq = pairs.groupby("pair_key").aggregate(Min("hamming", alias_name="hamming"))
 
     def _decode(batch: pa.Table) -> pa.Table:
@@ -651,6 +654,7 @@ def ngram_jaccard_pairs(
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
     )
+    # plain groupby: source is dimension-sized
     return ds.groupby("source").map_groups(
         lambda g: _block_jaccard(g, k, thr_pct, max_block), batch_format="pandas"
     )
@@ -722,6 +726,7 @@ def dup_components(
             ),
             batch_format="pandas",
         )
+        # plain groupby: a native aggregate calls no Python per group
         .groupby("node")
         .aggregate(Min("label", alias_name="label"))
     )
@@ -780,9 +785,10 @@ def dup_components(
         )
 
     for _ in range(max_rounds):
-        rows = edge_ds.map_batches(_edge_rows, batch_format="pandas").union(
-            label_ds.map_batches(_label_rows, batch_format="pandas")
-        )
+        rows = [
+            edge_ds.map_batches(_edge_rows, batch_format="pandas"),
+            label_ds.map_batches(_label_rows, batch_format="pandas"),
+        ]
         msgs = bucket_exchange(rows, "node", _propagate, size_from=docs_path)
         # Materialize each round's labels (distributed, object store):
         # the round is consumed twice (changed-sum + next round's input)
@@ -991,7 +997,7 @@ def dup_ngram_spans(sf_dir: str, w: int = 5) -> ray.data.Dataset:
         _zeros, batch_format="pandas"
     )
     return bucket_exchange(
-        zeros.union(mid), "doc_id", _finish, size_from=path, expansion=expansion
+        [zeros, mid], "doc_id", _finish, size_from=path, expansion=expansion
     )
 
 
@@ -1078,6 +1084,7 @@ def shuffle_rank(sf_dir: str) -> ray.data.Dataset:
             lambda df: df.groupby("bucket", as_index=False).size().rename(columns={"size": "n"}),
             batch_format="pandas",
         )
+        # plain groupby: a native aggregate calls no Python per group
         .groupby("bucket")
         .aggregate(Sum("n", alias_name="n"))
         .to_pandas()  # dimension-sized: n_buckets rows
@@ -1109,30 +1116,27 @@ def soft_dedup_weights(sf_dir: str) -> ray.data.Dataset:
     every document a sampling weight inversely proportional to its exact
     duplicate multiplicity — common content is down-weighted, not lost.
 
-    One digest-keyed shuffle (the :func:`exact_dedup` partitioning; text is
-    dropped before the exchange, only (doc_id, text_hash) rows move); the
-    group size IS the multiplicity, so no second pass or join is needed.
+    One digest-keyed :func:`~.buckets.bucket_exchange` (text is dropped
+    before the exchange, only (doc_id, text_hash) rows move); the digest's
+    row count inside the bucket IS the multiplicity, so no second pass or
+    join is needed.
     ``weight_ppm = 1_000_000 // n_copies`` keeps the output pure integer
     (no float seam). Columns: doc_id, n_copies, weight_ppm (all int64).
     """
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "text"],
-        override_num_blocks=32,
-    )
-    keyed = ds.map_batches(_md5_batch, batch_format="pandas", batch_size=256)
+    path = f"{sf_dir}/documents.parquet"
+    keyed = _read_doc_text(path).map_batches(_md5_batch, batch_format="pandas", batch_size=256)
 
     def _weights(g: pd.DataFrame) -> pd.DataFrame:
-        n = len(g)
+        n = g.groupby("text_hash")["doc_id"].transform("size").to_numpy("int64")
         return pd.DataFrame(
             {
                 "doc_id": g["doc_id"].to_numpy("int64"),
-                "n_copies": np.full(n, n, dtype=np.int64),
-                "weight_ppm": np.full(n, 1_000_000 // n, dtype=np.int64),
+                "n_copies": n,
+                "weight_ppm": 1_000_000 // n,
             }
         )
 
-    return keyed.groupby("text_hash").map_groups(_weights, batch_format="pandas")
+    return bucket_exchange(keyed, "text_hash", _weights, size_from=path)
 
 
 def hamming_pairs_u64(
@@ -1244,7 +1248,7 @@ def hamming_pairs_u64(
     near_pairs = bucket_exchange(chunked, "chunk_value", _simhash_bucket_pairs_fn(hamming_max))
     # star pairs (hamming 0) are disjoint from rep-level near pairs
     # (distinct hashes differ by >= 1 bit), so a plain union is exact
-    pairs = near_pairs.union(star_pairs)
+    pairs = [near_pairs, star_pairs]
 
     # Cross-chunk dedup via the coarse-bucket reduce (a fine-key pair_key
     # aggregate pays Ray's ~200 fixed reduce partitions; identical-hash

@@ -91,6 +91,7 @@ def host_link_graph(ds: ray.data.Dataset) -> ray.data.Dataset:
 
     return (
         ds.map_batches(_edges_partial, batch_format="pandas")
+        # plain groupby: a native aggregate calls no Python per group
         .groupby(["src_host", "dst_host"])
         .sum("n_links")
         .map_batches(_rename, batch_format="pandas")

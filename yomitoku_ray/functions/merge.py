@@ -1,4 +1,4 @@
-"""Cross-document merge + skew probe (the engine's only wide shuffles).
+"""Cross-document merge, url dedup and the hot-domain skew probe.
 
 The reference's one cross-page aggregate is the ``--combine`` multi-page
 merge (``/root/reference/src/yomitoku/cli/main.py:24-59``: json -> list
@@ -25,6 +25,8 @@ import pandas as pd
 import ray.data
 from ray.data.aggregate import Sum
 
+from .buckets import bucket_exchange
+
 # Host extraction as a single vectorized regex (pandas .str.extract on the
 # hot path); the same pattern is used verbatim in the DuckDB oracles
 # (regexp_extract) so domain keys hash identically.
@@ -37,6 +39,21 @@ def _domain_series(urls: pd.Series) -> pd.Series:
 
 def _domain_of(url: str) -> str:
     return _domain_series(pd.Series([url])).iloc[0]
+
+
+def _ordered_join(g: pd.DataFrame, key: str, text_column: str) -> pd.DataFrame:
+    """One row per ``key`` of ``g``, which is sorted by ``key`` and then in
+    merge order: the page count, and the length and sha256 of the texts
+    joined with "\\n" in frame order."""
+    merged = g[text_column].fillna("").groupby(g[key], sort=False).agg("\n".join)
+    return pd.DataFrame(
+        {
+            key: merged.index.to_numpy(),
+            "n_pages": g.groupby(key, sort=False).size().to_numpy().astype("int64"),
+            "total_chars": merged.str.len().to_numpy().astype("int64"),
+            "merged_sha256": [hashlib.sha256(m.encode("utf-8")).hexdigest() for m in merged],
+        }
+    )
 
 
 def add_domain_column(ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -64,6 +81,7 @@ def domain_skew_probe(ds: ray.data.Dataset, top_n: int = 20) -> pd.DataFrame:
 
     agg = (
         ds.map_batches(_partial, batch_format="pandas")
+        # plain groupby: a native aggregate calls no Python per group
         .groupby("domain")
         .aggregate(Sum("n_pages", alias_name="n_pages"))
     )
@@ -76,7 +94,8 @@ def merge_pages_by_domain(
     text_column: str = "extracted_text",
     max_pages_per_domain: int = 1000,
 ) -> ray.data.Dataset:
-    """groupby(domain) -> ordered "\\n" join of per-page text (G4 analogue).
+    """Domain-keyed exchange -> ordered "\\n" join of per-page text (G4
+    analogue).
 
     Output: domain, n_pages, merged_sha256, total_chars, merge_truncated.
     The sha256 stands in for shipping the (potentially huge) merged blob
@@ -84,22 +103,14 @@ def merge_pages_by_domain(
     """
 
     def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("url")
-        truncated = len(g) > max_pages_per_domain
-        g = g.head(max_pages_per_domain)
-        merged = "\n".join(t or "" for t in g[text_column])
-        return pd.DataFrame(
-            {
-                "domain": [g["domain"].iloc[0]],
-                "n_pages": np.array([len(g)], dtype="int64"),
-                "total_chars": np.array([len(merged)], dtype="int64"),
-                "merged_sha256": [hashlib.sha256(merged.encode("utf-8")).hexdigest()],
-                "merge_truncated": [bool(truncated)],
-            }
-        )
+        g = g.sort_values(["domain", "url"])
+        n_all = g.groupby("domain").size()
+        g = g[g.groupby("domain").cumcount() < max_pages_per_domain]
+        out = _ordered_join(g, "domain", text_column)
+        out["merge_truncated"] = n_all.to_numpy() > max_pages_per_domain
+        return out
 
-    ds = add_domain_column(result_ds)
-    return ds.groupby("domain").map_groups(_merge, batch_format="pandas")
+    return bucket_exchange(add_domain_column(result_ds), "domain", _merge)
 
 
 def merge_pages_by_domain_salted(
@@ -121,41 +132,29 @@ def merge_pages_by_domain_salted(
     Output schema matches ``merge_pages_by_domain`` minus merge_truncated.
     """
 
-    def _merge_span(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("url")
-        merged = "\n".join(t or "" for t in g[text_column])
-        return pd.DataFrame(
-            {
-                "domain": [g["domain"].iloc[0]],
-                "url_prefix": [g["url_prefix"].iloc[0]],
-                "n_pages": np.array([len(g)], dtype="int64"),
-                "span_text": [merged],
-            }
-        )
+    def _merge_spans(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(["domain", "url_prefix", "url"]).fillna({text_column: ""})
+        spans = g.groupby(["domain", "url_prefix"], sort=False, dropna=False)
+        out = spans.size().rename("n_pages").reset_index()
+        out["span_text"] = spans[text_column].agg("\n".join).to_numpy()
+        return out
 
-    def _merge_domain(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("url_prefix")
-        merged = "\n".join(g["span_text"])
-        return pd.DataFrame(
-            {
-                "domain": [g["domain"].iloc[0]],
-                "n_pages": np.array([int(g["n_pages"].sum())], dtype="int64"),
-                "total_chars": np.array([len(merged)], dtype="int64"),
-                "merged_sha256": [hashlib.sha256(merged.encode("utf-8")).hexdigest()],
-            }
-        )
-
-    ds = add_domain_column(result_ds)
+    def _merge_domains(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(["domain", "url_prefix"])
+        n_pages = g.groupby("domain", sort=False)["n_pages"].sum()
+        out = _ordered_join(g, "domain", "span_text")
+        out["n_pages"] = n_pages.to_numpy().astype("int64")
+        return out
 
     def _add_prefix(df: pd.DataFrame) -> pd.DataFrame:
         df["url_prefix"] = df["url"].str[:prefix_len]
         return df
 
-    ds = ds.map_batches(_add_prefix, batch_format="pandas")
-    spans = ds.groupby(["domain", "url_prefix"]).map_groups(
-        _merge_span, batch_format="pandas"
-    )
-    return spans.groupby("domain").map_groups(_merge_domain, batch_format="pandas")
+    # Phase 1 keys on the prefix alone: a (domain, prefix) span lives in one
+    # bucket, and a hot domain's spans spread over many.
+    ds = add_domain_column(result_ds).map_batches(_add_prefix, batch_format="pandas")
+    spans = bucket_exchange(ds, "url_prefix", _merge_spans)
+    return bucket_exchange(spans, "domain", _merge_domains)
 
 
 def merge_exploded_pages(
@@ -168,10 +167,10 @@ def merge_exploded_pages(
     Rows carry ``doc_url``/``page_idx`` from
     ``sources.paged.explode_paged_docs``, or — after the extraction stage,
     which emits only its result schema — both are recovered from the
-    ``url#page=N`` convention with one vectorized regex. groupby(doc_url) is
-    the shuffle; page order inside a group comes from page_idx, matching
-    the reference's page iteration order. Output: doc_url, n_pages,
-    n_ok_pages, total_chars, merged_sha256.
+    ``url#page=N`` convention with one vectorized regex. A doc_url-keyed
+    :func:`~.buckets.bucket_exchange` is the shuffle; page order inside a
+    document comes from page_idx, matching the reference's page iteration
+    order. Output: doc_url, n_pages, n_ok_pages, total_chars, merged_sha256.
     """
 
     if "doc_url" not in (result_ds.schema().names or []):
@@ -185,61 +184,39 @@ def merge_exploded_pages(
         result_ds = result_ds.map_batches(_add_keys, batch_format="pandas")
 
     def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("page_idx")
+        g = g.sort_values(["doc_url", "page_idx"])
         ok = g["error"].isna() if "error" in g.columns else pd.Series(True, index=g.index)
-        merged = "\n".join(t or "" for t in g[text_column])
-        return pd.DataFrame(
-            {
-                "doc_url": [g["doc_url"].iloc[0]],
-                "n_pages": np.array([len(g)], dtype="int64"),
-                "n_ok_pages": np.array([int(ok.sum())], dtype="int64"),
-                "total_chars": np.array([len(merged)], dtype="int64"),
-                "merged_sha256": [hashlib.sha256(merged.encode("utf-8")).hexdigest()],
-            }
-        )
+        out = _ordered_join(g, "doc_url", text_column)
+        n_ok = ok.groupby(g["doc_url"], sort=False).sum().to_numpy().astype("int64")
+        out.insert(2, "n_ok_pages", n_ok)
+        return out
 
-    return result_ds.groupby("doc_url").map_groups(_merge, batch_format="pandas")
+    return bucket_exchange(result_ds, "doc_url", _merge)
 
 
 def url_dedup_first(pages_ds: ray.data.Dataset) -> ray.data.Dataset:
-    """Exact url dedup, first (min warc_ts) wins — hash-partitioned groupby.
+    """Exact url dedup: one row per url, the one with the minimum warc_ts.
+
+    Ties on (url, warc_ts) keep the row with the smallest content hash
+    (``pd.util.hash_pandas_object`` over all its columns), so the kept row
+    does not depend on the order in which rows reach the bucket.
 
     Parity target: the engine-level dedup SURVEY §2.7 calls for (absent in
-    the reference); key is the url hash (uniform), no salting needed.
+    the reference). One url-keyed :func:`~.buckets.bucket_exchange`; each
+    bucket resolves its urls with one sort, vectorized.
     """
 
     def _first(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["warc_ts", "url"]).head(1)
+        keys = pd.DataFrame(
+            {
+                "url": g["url"].to_numpy(),
+                "warc_ts": g["warc_ts"].to_numpy(),
+                "tie": pd.util.hash_pandas_object(g, index=False).to_numpy(),
+            }
+        )
+        return g.iloc[keys.sort_values(list(keys.columns)).index].drop_duplicates("url")
 
-    return pages_ds.groupby("url").map_groups(_first, batch_format="pandas")
-
-
-def url_dedup_first_fast(
-    pages_ds: ray.data.Dataset, num_partitions: int = 16
-) -> ray.data.Dataset:
-    """Vectorized url dedup: native Min aggregate + hash join + Arrow filter.
-
-    Same result as :func:`url_dedup_first` when (url, warc_ts) is unique —
-    no per-group Python calls, so the reducer side stays vectorized at any
-    group count (the per-url-group ``map_groups`` variant pays a Python/
-    pandas round trip per url). The two shuffles (aggregate + join) are both
-    keyed by the uniform url hash. ``num_partitions`` sizes the join's hash
-    aggregators: ~cluster core count; thousands at corpus scale.
-    """
-    from ray.data.aggregate import Min as _Min
-
-    mins = pages_ds.groupby("url").aggregate(_Min("warc_ts", alias_name="min_ts"))
-    joined = pages_ds.join(
-        mins, join_type="inner", num_partitions=num_partitions, on=("url",)
-    )
-
-    def _keep_first(t):
-        import pyarrow.compute as pc
-
-        t = t.filter(pc.equal(t.column("warc_ts"), t.column("min_ts")))
-        return t.drop_columns(["min_ts"])
-
-    return joined.map_batches(_keep_first, batch_format="pyarrow")
+    return bucket_exchange(pages_ds, "url", _first)
 
 
 # Public RefinedWeb/UT1-style URL blocklist tokens (fixed, shared verbatim

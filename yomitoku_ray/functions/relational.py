@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray
 import ray.data
 from ray.data.aggregate import Sum
@@ -84,6 +85,7 @@ def pricing_summary(sf_dir: str, cutoff: str = "1998-09-01") -> pd.DataFrame:
         return work.groupby(["l_returnflag", "l_linestatus"], as_index=False).sum()
 
     partials = ds.map_batches(_partial, batch_format="pandas")
+    # plain groupby: a native aggregate calls no Python per group
     out = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
         Sum("sum_qty", alias_name="sum_qty"),
         Sum("sum_base_cents", alias_name="sum_base_cents"),
@@ -124,6 +126,7 @@ def revenue_by_segment(sf_dir: str) -> pd.DataFrame:
     )
     out = (
         orders.map_batches(_lookup, batch_format="pandas")
+        # plain groupby: a native aggregate calls no Python per group
         .groupby("c_mktsegment")
         .aggregate(
             Sum("revenue_cents", alias_name="revenue_cents"),
@@ -153,6 +156,7 @@ def top_parts_by_revenue(sf_dir: str, top_n: int = 10) -> pd.DataFrame:
 
     agg = (
         ds.map_batches(_partial, batch_format="pandas")
+        # plain groupby: a native aggregate calls no Python per group
         .groupby("l_partkey")
         .aggregate(Sum("revenue_cents", alias_name="revenue_cents"))
     )
@@ -190,6 +194,7 @@ def suppliers_per_region(sf_dir: str) -> pd.DataFrame:
     ds = ray.data.read_parquet(
         f"{sf_dir}/supplier.parquet", columns=["s_nationkey", "s_acctbal"]
     )
+    # plain groupby: a native aggregate calls no Python per group
     out = ds.map_batches(_lookup, batch_format="pandas").groupby("r_name").aggregate(
         Sum("n_suppliers", alias_name="n_suppliers"),
         Sum("acctbal_cents", alias_name="acctbal_cents"),
@@ -218,6 +223,7 @@ def orders_priority_monthly(sf_dir: str) -> pd.DataFrame:
         )
         return work.groupby(["o_orderpriority", "month_start"], as_index=False).sum()
 
+    # plain groupby: a native aggregate calls no Python per group
     out = ds.map_batches(_partial, batch_format="pandas").groupby(
         ["o_orderpriority", "month_start"]
     ).aggregate(
@@ -259,6 +265,7 @@ def part_type_stats(sf_dir: str) -> pd.DataFrame:
 
     from ray.data.aggregate import Max, Min
 
+    # plain groupby: a native aggregate calls no Python per group
     out = ds.map_batches(_partial, batch_format="pandas").groupby("p_type").aggregate(
         Sum("n_parts", alias_name="n_parts"),
         Min("min_size", alias_name="min_size"),
@@ -304,24 +311,17 @@ def customers_without_orders(sf_dir: str, since: str = "1998-01-01") -> pd.DataF
             }
         )
 
-    def _anti(g: pd.DataFrame) -> pd.DataFrame:
+    def _anti(g: pd.DataFrame) -> pa.Table:
         side = g["side"].to_numpy()
         cust = g[side == 0]
         have = g.loc[side == 1, "key"].unique()
-        missing = cust[~cust["key"].isin(have)]
-        if len(missing) == 0:
-            # typed empty: map_groups concat must keep the schema
-            return pd.DataFrame(
-                {
-                    "c_mktsegment": pd.Series([], dtype=str),
-                    "n_customers": pd.Series([], dtype="int64"),
-                }
-            )
-        out = missing.groupby("seg", as_index=False).size()
-        return pd.DataFrame(
+        out = cust[~cust["key"].isin(have)].groupby("seg", as_index=False).size()
+        # Arrow, typed even when empty: Ray cannot size the column of an
+        # empty pandas str frame and logs an error for each such block.
+        return pa.table(
             {
-                "c_mktsegment": out["seg"].astype(str),
-                "n_customers": out["size"].astype("int64"),
+                "c_mktsegment": pa.array(out["seg"].astype(str), pa.string()),
+                "n_customers": pa.array(out["size"].to_numpy("int64"), pa.int64()),
             }
         )
 
@@ -333,10 +333,12 @@ def customers_without_orders(sf_dir: str, since: str = "1998-01-01") -> pd.DataF
         columns=["o_custkey"],
         filter=pads.field("o_orderdate") >= pads.scalar(since_ts),
     )
-    both = cust.map_batches(_tag_cust, batch_format="pandas").union(
-        orders.map_batches(_tag_orders, batch_format="pandas")
-    )
+    both = [
+        cust.map_batches(_tag_cust, batch_format="pandas"),
+        orders.map_batches(_tag_orders, batch_format="pandas"),
+    ]
     partials = bucket_exchange(both, "key", _anti, size_from=paths)
+    # plain groupby: a native aggregate calls no Python per group
     out = partials.groupby("c_mktsegment").aggregate(
         Sum("n_customers", alias_name="n_customers")
     ).to_pandas()
@@ -407,6 +409,7 @@ def events_hourly(sf_dir: str) -> pd.DataFrame:
         )
         return work.groupby(["event_type", "window_start"], as_index=False).sum()
 
+    # plain groupby: a native aggregate calls no Python per group
     out = ds.map_batches(_partial, batch_format="pandas").groupby(
         ["event_type", "window_start"]
     ).aggregate(
@@ -456,6 +459,7 @@ def events_sliding(
     )
     out = (
         ds.map_batches(_partial, batch_format="pandas")
+        # plain groupby: a native aggregate calls no Python per group
         .groupby(["event_type", "window_start"])
         .aggregate(
             Sum("n_events", alias_name="n_events"),
@@ -511,9 +515,10 @@ def events_asof_orders(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    both = events.map_batches(_tag_events, batch_format="pandas").union(
-        orders.map_batches(_tag_orders, batch_format="pandas")
-    )
+    both = [
+        events.map_batches(_tag_events, batch_format="pandas"),
+        orders.map_batches(_tag_orders, batch_format="pandas"),
+    ]
 
     def _resolve_bucket(g: pd.DataFrame) -> pd.DataFrame:
         """All keys of one coarse bucket at once: pd.merge_asof with
@@ -712,6 +717,7 @@ def top_supplier_per_nation(sf_dir: str) -> pd.DataFrame:
 
     out = (
         per_supplier.map_batches(_attach, batch_format="pandas")
+        # plain groupby: n_name is dimension-sized
         .groupby("n_name")
         .map_groups(_argmax, batch_format="pandas")
         .to_pandas()  # one row per nation
@@ -931,6 +937,7 @@ def events_spike_days(sf_dir: str) -> pd.DataFrame:
 
     daily = (
         ds.map_batches(_partial, batch_format="pandas")
+        # plain groupby: a native aggregate calls no Python per group
         .groupby(["event_type", "day"])
         .aggregate(Sum("n_events", alias_name="n_events"))
         .to_pandas()  # dimension-sized: |event_type| x |days|

@@ -78,6 +78,7 @@ def knn_brute_force(sf_dir: str, k: int = 5, n_queries: int = 10) -> pd.DataFram
             }
         )
 
+    # plain groupby: query_id is dimension-sized
     out = partials.groupby("query_id").map_groups(_final_topk, batch_format="pandas")
     return out.to_pandas().sort_values(["query_id", "rank"]).reset_index(drop=True)
 
@@ -187,9 +188,11 @@ def _bucketed_topk(
     partials = (
         ray.data.read_parquet(path, columns=["vec_id", "embedding"])
         .map_batches(_assign, batch_format="pandas", batch_size=1024)
+        # plain groupby: the LSH bucket / IVF cell is a semantic key the function reads
         .groupby("bucket")
         .map_groups(_score_bucket, batch_format="pandas")
     )
+    # plain groupby: query_id is dimension-sized
     out = partials.groupby("query_id").map_groups(_final, batch_format="pandas")
     return out.to_pandas().sort_values(["query_id", "rank"]).reset_index(drop=True)
 
@@ -304,6 +307,7 @@ def _ivf_centroids(path: str) -> np.ndarray:
     parts = (
         ray.data.read_parquet(path, columns=["label", "embedding"])
         .map_batches(_partial, batch_format="pandas", batch_size=1024)
+        # plain groupby: the k-means label is dimension-sized
         .groupby("label")
         .map_groups(_reduce, batch_format="pandas")
         .to_pandas()  # C rows of (label, n, dim floats) — the ONLY collect
@@ -388,6 +392,7 @@ def ann_lsh_stats(
     hist = (
         ray.data.read_parquet(path, columns=["vec_id", "embedding"])
         .map_batches(_hist, batch_format="pandas", batch_size=1024)
+        # plain groupby: a native aggregate calls no Python per group
         .groupby("bucket")
         .aggregate(Sum("n", alias_name="n"))
         .to_pandas()  # <= 2^n_planes rows
@@ -422,6 +427,7 @@ def ann_ivf_stats(sf_dir: str, n_queries: int = 10, nprobe: int = 6) -> pd.DataF
     hist = (
         ray.data.read_parquet(path, columns=["vec_id", "embedding"])
         .map_batches(_hist, batch_format="pandas", batch_size=1024)
+        # plain groupby: a native aggregate calls no Python per group
         .groupby("cell")
         .aggregate(Sum("n", alias_name="n"))
         .to_pandas()  # <= n_labels rows
@@ -515,6 +521,7 @@ def embedding_near_dup(
     ds = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding", "label"]
     )
+    # plain groupby: the k-means label is dimension-sized
     return ds.groupby("label").map_groups(_block, batch_format="pandas")
 
 
@@ -589,6 +596,7 @@ def _kmeans_train(
 
         parts = (
             ds.map_batches(_partial, batch_format="pandas", batch_size=1024)
+            # plain groupby: the k-means cluster is dimension-sized
             .groupby("cluster")
             .map_groups(_reduce_cluster, batch_format="pandas")
             .to_pandas()  # k rows — the ONLY driver-side state
@@ -734,6 +742,7 @@ def semdedup(
     ds = ray.data.read_parquet(path, columns=["vec_id", "embedding"])
     return (
         ds.map_batches(_assign, batch_format="pandas", batch_size=1024)
+        # plain groupby: the k-means cluster is dimension-sized
         .groupby("cluster")
         .map_groups(_dedup_cluster, batch_format="pandas")
     )
@@ -924,6 +933,7 @@ def ann_pq(
     out = (
         ray.data.read_parquet(path, columns=["vec_id", "embedding"])
         .map_batches(_partial, batch_format="pandas", batch_size=1024)
+        # plain groupby: query_id is dimension-sized
         .groupby("query_id")
         .map_groups(_final, batch_format="pandas")
         .to_pandas()
@@ -1067,6 +1077,7 @@ def ann_ivfpq(
     out = (
         ray.data.read_parquet(path, columns=["vec_id", "embedding"])
         .map_batches(_partial, batch_format="pandas", batch_size=1024)
+        # plain groupby: query_id is dimension-sized
         .groupby("query_id")
         .map_groups(_final, batch_format="pandas")
         .to_pandas()

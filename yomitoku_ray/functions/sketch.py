@@ -19,6 +19,8 @@ from __future__ import annotations
 import pandas as pd
 import ray.data
 
+from .buckets import bucket_exchange
+
 # HLL parameters, shared verbatim with the SQL oracle.
 HLL_P = 10
 HLL_M = 1 << HLL_P  # 1024 registers
@@ -82,8 +84,9 @@ def hll_distinct_tokens(sf_dir: str) -> pd.DataFrame:
 
     Scale shape: each batch dedups its (lang, hash) pairs and emits an
     already-max-merged partial register table (<= |langs| x m rows per
-    batch, independent of batch size); ONE coarse-bucket groupby merges
-    partials with a vectorized within-bucket max; the driver sees only
+    batch, independent of batch size); ONE register-keyed
+    :func:`~.buckets.bucket_exchange` merges partials with a vectorized
+    within-bucket max; the driver sees only
     the |langs| x m final registers and runs the integer estimator.
     This is the sketch counterpart of exact ``unique``: the exact path
     shuffles every distinct token once, the sketch ships 1024 ints per
@@ -98,7 +101,6 @@ def hll_distinct_tokens(sf_dir: str) -> pd.DataFrame:
     from .dedup import _md5_u64
 
     path = f"{sf_dir}/documents.parquet"
-    _RED_MASK = 255
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
         texts = df["text"].fillna("").tolist()
@@ -112,7 +114,6 @@ def hll_distinct_tokens(sf_dir: str) -> pd.DataFrame:
                 "lang": pd.Series([], dtype=object),
                 "idx": pd.Series([], dtype="int64"),
                 "rho": pd.Series([], dtype="int64"),
-                "bucket": pd.Series([], dtype="int64"),
             }
         )
         if counts.sum() == 0:
@@ -140,19 +141,15 @@ def hll_distinct_tokens(sf_dir: str) -> pd.DataFrame:
         )
         out["idx"] = out["idx"].astype("int64")
         out["rho"] = out["rho"].astype("int64")
-        out["bucket"] = out["idx"] & _RED_MASK
         return out
 
     def _merge(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby(["lang", "idx"], as_index=False)["rho"].max()
 
-    reg = (
-        ray.data.read_parquet(path, columns=["lang", "text"])
-        .map_batches(_partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(_merge, batch_format="pandas")
-        .to_pandas()  # <= |langs| x m rows — the whole sketch
+    partials = ray.data.read_parquet(path, columns=["lang", "text"]).map_batches(
+        _partial, batch_format="pandas"
     )
+    reg = bucket_exchange(partials, "idx", _merge).to_pandas()  # <= |langs| x m rows
     rows = []
     if len(reg) == 0:  # empty corpus: column-less frame
         reg = pd.DataFrame(columns=["lang", "idx", "rho"])
@@ -205,7 +202,6 @@ def cms_top_term_counts(sf_dir: str, k: int = 20) -> pd.DataFrame:
     from .text_stats import top_terms
 
     path = f"{sf_dir}/documents.parquet"
-    _RED_MASK = 255
     _LOW32 = np.uint64(0xFFFFFFFF)
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -216,7 +212,6 @@ def cms_top_term_counts(sf_dir: str, k: int = 20) -> pd.DataFrame:
                     "row": pd.Series([], dtype="int64"),
                     "col": pd.Series([], dtype="int64"),
                     "cnt": pd.Series([], dtype="int64"),
-                    "bucket": pd.Series([], dtype="int64"),
                 }
             )
         cnts = np.bincount(codes, minlength=len(uh)).astype(np.int64)
@@ -232,20 +227,15 @@ def cms_top_term_counts(sf_dir: str, k: int = 20) -> pd.DataFrame:
             )
             sub["row"] = np.int64(j)
             frames.append(sub)
-        out = pd.concat(frames, ignore_index=True)
-        out["bucket"] = out["col"] & _RED_MASK
-        return out[["row", "col", "cnt", "bucket"]]
+        return pd.concat(frames, ignore_index=True)[["row", "col", "cnt"]]
 
     def _merge(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby(["row", "col"], as_index=False)["cnt"].sum()
 
-    cells = (
-        ray.data.read_parquet(path, columns=["text"])
-        .map_batches(_partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(_merge, batch_format="pandas")
-        .to_pandas()  # <= d x w rows — the whole sketch
+    partials = ray.data.read_parquet(path, columns=["text"]).map_batches(
+        _partial, batch_format="pandas"
     )
+    cells = bucket_exchange(partials, "col", _merge).to_pandas()  # <= d x w rows
     cms = np.zeros((CMS_D, CMS_W), dtype=np.int64)
     if len(cells):  # empty corpus aggregates to a column-less frame
         cms[cells["row"].to_numpy("int64"), cells["col"].to_numpy("int64")] = (

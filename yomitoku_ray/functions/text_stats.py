@@ -120,14 +120,14 @@ def corpus_prep(
 
     The flagship composition over ``documents``: one streaming pass computes
     tokens/fingerprint/lang (all vectorized), a length gate filters, then a
-    hash-partitioned groupby keeps the first (min doc_id) copy per content
-    fingerprint. Columns: fingerprint, keep_doc_id, pred_lang, n_tokens.
+    fingerprint-keyed :func:`~.buckets.bucket_exchange` keeps the first (min
+    doc_id) copy per content fingerprint. Columns: fingerprint, keep_doc_id,
+    pred_lang, n_tokens.
     """
     import hashlib
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    path = f"{sf_dir}/documents.parquet"
+    ds = ray.data.read_parquet(path, columns=["doc_id", "text"])
 
     def _features(df: pd.DataFrame) -> pd.DataFrame:
         text = df["text"].fillna("")
@@ -151,7 +151,7 @@ def corpus_prep(
     feats = ds.map_batches(_features, batch_format="pandas")
 
     def _first(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("doc_id").head(1)
+        g = g.sort_values(["fingerprint", "doc_id"]).drop_duplicates("fingerprint")
         return pd.DataFrame(
             {
                 "fingerprint": g["fingerprint"].values,
@@ -161,7 +161,7 @@ def corpus_prep(
             }
         )
 
-    return feats.groupby("fingerprint").map_groups(_first, batch_format="pandas")
+    return bucket_exchange(feats, "fingerprint", _first, size_from=path)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +332,7 @@ def doc_length_percentiles(sf_dir: str) -> pd.DataFrame:
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
     hist = (
         ds.map_batches(_partial, batch_format="pandas")
+        # plain groupby: a native aggregate calls no Python per group
         .groupby("n_tokens")
         .aggregate(Sum("cnt", alias_name="cnt"))
         .to_pandas()  # value-space-sized, not corpus-sized
@@ -541,7 +542,7 @@ def bigram_coverage(sf_dir: str, min_count: int = 5) -> ray.data.Dataset:
         _count_partial, batch_format="pandas"
     )
     joined = bucket_exchange(
-        count_partials.union(docs_tagged), "g", _join, size_from=path, expansion=expansion
+        [count_partials, docs_tagged], "g", _join, size_from=path, expansion=expansion
     )
 
     # Per-doc rollup: zero rows for ALL docs (so empty/one-word documents
@@ -560,7 +561,7 @@ def bigram_coverage(sf_dir: str, min_count: int = 5) -> ray.data.Dataset:
         _zero_rows, batch_format="pandas"
     )
     return bucket_exchange(
-        all_docs.union(joined),
+        [all_docs, joined],
         "doc_id",
         lambda g: g.groupby("doc_id", as_index=False)[["n_bigrams", "n_common"]].sum(),
         size_from=path,
@@ -577,12 +578,13 @@ def term_cooccurrence(sf_dir: str, window: int = 5, k: int = 20) -> pd.DataFrame
     Scale shape: the pair explode is vectorized per batch (one shifted
     compare per distance, no Python row loop) and immediately COMBINED to
     per-batch pair counts, so the single shuffle moves vocabulary²-bounded
-    rows, not token-count rows. The reduce is the repo's coarse-bucket
-    idiom (hash(pair) & mask → groupby(bucket).map_groups) rather than a
-    fine-key native aggregate — Ray's aggregate pays ~200 fixed reduce
-    partitions (the bigram_coverage diagnosis); a pair lives in exactly
-    one bucket, so per-bucket top-k composes losslessly into the global
-    top-k over a k×buckets-bounded driver table. Ties break (count desc,
+    rows, not token-count rows. The reduce is a pair-keyed
+    :func:`~.buckets.bucket_exchange` rather than a fine-key native
+    aggregate — Ray's aggregate pays ~200 fixed reduce partitions (the
+    bigram_coverage diagnosis); a pair lives in exactly one bucket, so
+    per-bucket top-k composes losslessly into the global top-k over a
+    k×buckets-bounded driver table (the floor bucket count: the exchange
+    is sized from no files). Ties break (count desc,
     wa asc, wb asc), replicated in the SQL oracle via least()/greatest()
     + the same ORDER BY.
     """
@@ -590,9 +592,6 @@ def term_cooccurrence(sf_dir: str, window: int = 5, k: int = 20) -> pd.DataFrame
     import ray.data
 
     sep = "\x1f"
-    # A fixed 256 buckets, not bucket_exchange: the driver collects
-    # k x n_buckets rows, so the count must stay small.
-    mask = (1 << 8) - 1
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
         toks = df["text"].fillna("").str.strip().str.split()
@@ -623,15 +622,7 @@ def term_cooccurrence(sf_dir: str, window: int = 5, k: int = 20) -> pd.DataFrame
                 {"pair": pd.Series([], dtype=str), "n": pd.Series([], dtype="int64")}
             )
         vc = pd.concat(parts, ignore_index=True).value_counts()
-        pairs = vc.index.astype(str)
-        bucket = (
-            pd.util.hash_array(pairs.to_numpy(dtype=object)).astype("int64") & mask
-            if len(vc)
-            else np.zeros(0, dtype="int64")
-        )
-        return pd.DataFrame(
-            {"bucket": bucket, "pair": pairs, "n": vc.to_numpy(dtype="int64")}
-        )
+        return pd.DataFrame({"pair": vc.index.astype(str), "n": vc.to_numpy(dtype="int64")})
 
     def _bucket_topk(grp: pd.DataFrame) -> pd.DataFrame:
         agg = grp.groupby("pair", as_index=False)["n"].sum()
@@ -645,12 +636,9 @@ def term_cooccurrence(sf_dir: str, window: int = 5, k: int = 20) -> pd.DataFrame
         )
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-    per_bucket = (
-        ds.map_batches(_partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(_bucket_topk, batch_format="pandas")
-        .to_pandas()  # k × n_buckets rows, driver-safe by construction
-    )
+    per_bucket = bucket_exchange(
+        ds.map_batches(_partial, batch_format="pandas"), "pair", _bucket_topk
+    ).to_pandas()  # k × n_buckets rows, driver-safe by construction
     return (
         per_bucket.sort_values(["n", "wa", "wb"], ascending=[False, True, True])
         .head(k)
@@ -665,8 +653,8 @@ def source_length_percentiles(sf_dir: str) -> pd.DataFrame:
     verbatim in SQL).
 
     Scale shape: token counts are small integers, so each batch combines
-    to (source, n_tokens, count) histogram rows; ONE small shuffle
-    (groupby over a source-hash bucket) reduces the histograms, and the
+    to (source, n_tokens, count) histogram rows; ONE small source-keyed
+    :func:`~.buckets.bucket_exchange` reduces the histograms, and the
     exact cumulation runs over each source's value space (bounded), never
     its documents. The driver sees |sources| x |percentiles| rows.
     Columns: source, pct, n_tokens (int64).
@@ -674,9 +662,6 @@ def source_length_percentiles(sf_dir: str) -> pd.DataFrame:
     import numpy as np
     import ray.data
 
-    # A fixed 256 buckets, not bucket_exchange: the driver collects
-    # |sources| x |pcts| rows and the shuffle moves small histogram rows.
-    mask = (1 << 8) - 1
     pcts = [10, 25, 50, 75, 90, 99]
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -689,10 +674,6 @@ def source_length_percentiles(sf_dir: str) -> pd.DataFrame:
             .groupby(["source", "n_tokens"], as_index=False)
             .size()
             .rename(columns={"size": "cnt"})
-        )
-        out["bucket"] = (
-            pd.util.hash_array(out["source"].to_numpy(dtype=object)).astype("int64")
-            & mask
         )
         out["n_tokens"] = out["n_tokens"].astype("int64")
         out["cnt"] = out["cnt"].astype("int64")
@@ -717,12 +698,9 @@ def source_length_percentiles(sf_dir: str) -> pd.DataFrame:
         )
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["source", "text"])
-    out = (
-        ds.map_batches(_partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(_pcts, batch_format="pandas")
-        .to_pandas()  # |sources| x |pcts| rows
-    )
+    out = bucket_exchange(
+        ds.map_batches(_partial, batch_format="pandas"), "source", _pcts
+    ).to_pandas()  # |sources| x |pcts| rows
     return out.sort_values(["source", "pct"]).reset_index(drop=True)
 
 
@@ -940,6 +918,7 @@ def dsir_weights(
     cnt = (
         ray.data.read_parquet(path, columns=["text", "lang"])
         .map_batches(_partial_counts, batch_format="pandas")
+        # plain groupby: a native aggregate calls no Python per group
         .groupby("bucket")
         .aggregate(Sum("t_cnt", alias_name="t"), Sum("r_cnt", alias_name="r"))
         .to_pandas()  # <= n_buckets rows — the ONLY driver-side state
@@ -1033,6 +1012,7 @@ def dsir_select(
     return (
         dsir_weights(sf_dir, n_buckets=n_buckets, target_lang=target_lang)
         .map_batches(_partial, batch_format="pandas")
+        # plain groupby: "g" (one global group) is dimension-sized
         .groupby("g")
         .map_groups(_final, batch_format="pandas")
     )
@@ -1082,8 +1062,8 @@ def ccnet_perplexity(
     Scale shape (three streaming passes, bounded driver state):
 
     1. TRAIN: bigram-bucket partial counts over the ``train_source`` slice
-       (filter pushed into the parquet scan) reduced through a coarse
-       bucket groupby + vectorized within-bucket pandas groupby (the
+       (filter pushed into the parquet scan) reduced through
+       ``bucket_exchange`` + vectorized within-bucket pandas groupby (the
        bigram_coverage idiom — a fine-key native aggregate pays Ray's
        ~200 fixed reduce partitions; 23x measured on the 200k probe) —
        <= |langs| x B^2 rows of driver state; frozen
@@ -1111,9 +1091,8 @@ def ccnet_perplexity(
     B = int(n_buckets)
     # Fine-key groupby().aggregate() pays Ray's ~200 fixed reduce
     # partitions (the bigram_coverage lesson); both reduces here go
-    # through a coarse bucket + vectorized within-bucket pandas groupby
+    # through bucket_exchange + a vectorized within-bucket pandas groupby
     # instead (23x measured on the 200k-doc probe).
-    _RED_MASK = 255
 
     def _partial_counts(df: pd.DataFrame) -> pd.DataFrame:
         _t_di, key, lang_tr = _ccnet_transitions(df, B)
@@ -1123,7 +1102,6 @@ def ccnet_perplexity(
                     "lang": pd.Series([], dtype=object),
                     "key": pd.Series([], dtype="int64"),
                     "cnt": pd.Series([], dtype="int64"),
-                    "bucket": pd.Series([], dtype="int64"),
                 }
             )
         out = (
@@ -1134,23 +1112,16 @@ def ccnet_perplexity(
         )
         out["key"] = out["key"].astype("int64")
         out["cnt"] = out["cnt"].astype("int64")
-        out["bucket"] = out["key"] & _RED_MASK
         return out
 
     def _reduce_counts(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby(["lang", "key"], as_index=False)["cnt"].sum()
 
-    cnt = (
-        ray.data.read_parquet(
-            path,
-            columns=["lang", "text"],
-            filter=pc.field("source") == train_source,
-        )
-        .map_batches(_partial_counts, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(_reduce_counts, batch_format="pandas")
-        .to_pandas()  # <= |langs| x B^2 rows — bounded driver state
-    )
+    train = ray.data.read_parquet(
+        path, columns=["lang", "text"], filter=pc.field("source") == train_source
+    ).map_batches(_partial_counts, batch_format="pandas")
+    # <= |langs| x B^2 rows — bounded driver state
+    cnt = bucket_exchange(train, "key", _reduce_counts).to_pandas()
     uniform_s = int(np.floor(scale * np.log(1.0 / B)))
     s_map: dict[str, np.ndarray] = {}
     if len(cnt) == 0:  # no train-slice docs: column-less frame; all langs
@@ -1205,20 +1176,17 @@ def ccnet_perplexity(
         )
         out["ppl_q"] = out["ppl_q"].astype("int64")
         out["cnt"] = out["cnt"].astype("int64")
-        out["bucket"] = out["ppl_q"] & _RED_MASK
         return out
 
     def _reduce_hist(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby(["lang", "ppl_q"], as_index=False)["cnt"].sum()
 
     read = lambda cols: ray.data.read_parquet(path, columns=cols)  # noqa: E731
-    hist = (
-        read(["doc_id", "lang", "text"])
-        .map_batches(_partial_hist, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(_reduce_hist, batch_format="pandas")
-        .to_pandas()  # |langs| x value-space rows, never corpus-sized
-    )
+    hist = bucket_exchange(
+        read(["doc_id", "lang", "text"]).map_batches(_partial_hist, batch_format="pandas"),
+        "ppl_q",
+        _reduce_hist,
+    ).to_pandas()  # |langs| x value-space rows, never corpus-sized
     thr: dict[str, tuple[int, int]] = {}
     if len(hist) == 0:  # no scorable docs: column-less frame
         hist = pd.DataFrame(columns=["lang", "ppl_q", "cnt"])
@@ -1287,7 +1255,7 @@ def nb_classifier(
     Scale shape (two streaming passes, bounded driver state):
 
     1. TRAIN: per-batch (class, bucket, cnt) partials over the pushed-down
-       source filter, reduced via the coarse-bucket map_groups idiom to
+       source filter, reduced through a bucket_id-keyed bucket exchange to
        <= |classes| x B rows + |classes| doc counts of driver state,
        frozen dense and broadcast via ``ray.put``;
     2. SCORE: vectorized per-batch scoring — per class one int64
@@ -1303,7 +1271,6 @@ def nb_classifier(
 
     path = f"{sf_dir}/documents.parquet"
     B = int(n_buckets)
-    _RED_MASK = 255
 
     def _partial_counts(df: pd.DataFrame) -> pd.DataFrame:
         occ_h, fdi, counts, _ = _dsir_feature_occ(
@@ -1335,23 +1302,16 @@ def nb_classifier(
         out["bucket_id"] = out["bucket_id"].astype("int64")
         out["cnt"] = out["cnt"].astype("int64")
         out["kind"] = out["kind"].astype("int64")
-        out["bucket"] = out["bucket_id"] & _RED_MASK
         return out
 
     def _reduce_counts(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby(["cls", "bucket_id", "kind"], as_index=False)["cnt"].sum()
 
-    cnt = (
-        ray.data.read_parquet(
-            path,
-            columns=[label_col, "text"],
-            filter=pc.field("source") == train_source,
-        )
-        .map_batches(_partial_counts, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(_reduce_counts, batch_format="pandas")
-        .to_pandas()  # <= |classes| x (B + 1) rows — bounded driver state
-    )
+    train = ray.data.read_parquet(
+        path, columns=[label_col, "text"], filter=pc.field("source") == train_source
+    ).map_batches(_partial_counts, batch_format="pandas")
+    # <= |classes| x (B + 1) rows — bounded driver state
+    cnt = bucket_exchange(train, "bucket_id", _reduce_counts).to_pandas()
     if len(cnt) == 0:  # no train-slice docs: column-less frame -> K = 0
         cnt = pd.DataFrame(columns=["cls", "bucket_id", "kind", "cnt"])
     doc_cnt = cnt[cnt["kind"] == 1]
