@@ -570,7 +570,6 @@ def _url_dedup_recrawl(sf_dir: str) -> pd.DataFrame:
         t = t.set_column(t.schema.get_field_index("warc_ts"), "warc_ts", ts)
         return t.set_column(t.schema.get_field_index("text"), "text", txt)
 
-    # Arrow-in, Arrow-out keeps both union branches on the same block type.
     both = ds.union(ds.map_batches(_recrawl, batch_format="pyarrow"))
     first = url_dedup_first(both)
 
@@ -1065,19 +1064,9 @@ def _ann_ivfpq_recall(sf_dir: str, floor_pct: int = 70) -> pd.DataFrame:
     """Recall floor of the routed IVFPQ vs the exhaustive ADC ranking
     (ann_pq) — the ann_recall pattern: int-only output, the oracle pins
     (floor, holds), so a routing-recall regression turns this row red."""
-    from yomitoku_ray.functions.similarity import ann_ivfpq, ann_pq
+    from yomitoku_ray.functions.similarity import _recall_floor, ann_ivfpq, ann_pq
 
-    exact = ann_pq(sf_dir)
-    approx = ann_ivfpq(sf_dir)
-    e = set(zip(exact["query_id"], exact["neighbor_id"]))
-    a = set(zip(approx["query_id"], approx["neighbor_id"]))
-    recall_pct = 100 * len(e & a) // max(1, len(e))
-    return pd.DataFrame(
-        {
-            "floor_pct": pd.Series([floor_pct], dtype="int64"),
-            "meets_floor": pd.Series([int(recall_pct >= floor_pct)], dtype="int64"),
-        }
-    )
+    return _recall_floor(ann_pq(sf_dir), ann_ivfpq(sf_dir), floor_pct)
 
 
 def _ann_with_self_check(fn, sf_dir: str) -> pd.DataFrame:

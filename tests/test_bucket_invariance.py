@@ -60,6 +60,25 @@ def test_resolve_mask_rules(tmp_path):
     assert buckets.input_bytes("file:///nonexistent/nope") == 0
 
 
+def test_union_exchange_mixes_block_types(ray_session):
+    """A union whose inputs make Arrow and pandas blocks meets in one
+    exchange: every key sees its rows from both inputs."""
+    import ray.data
+
+    arrow = ray.data.from_items([{"k": i % 7, "v": i} for i in range(40)])
+    pandas_mapped = arrow.map_batches(
+        lambda df: df.assign(v=df["v"] + 100), batch_format="pandas"
+    )
+
+    def _count(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("k", as_index=False).agg(n=("v", "size"), v=("v", "sum"))
+
+    got = _frame(buckets.bucket_exchange([arrow, pandas_mapped], "k", _count))
+    i = np.arange(40)
+    want = _frame(_count(pd.DataFrame({"k": np.r_[i, i] % 7, "v": np.r_[i, i + 100]})))
+    pd.testing.assert_frame_equal(got, want)
+
+
 def _hamming_pairs(sf_dir):
     """hamming_pairs_u64 over 400 ids whose hashes repeat (exact cliques)
     and differ by single bits (near pairs)."""

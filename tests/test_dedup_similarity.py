@@ -435,7 +435,7 @@ def test_kmeans_assign_two_blobs(ray_session, tmp_path):
         for i, v in enumerate(vecs)
     ]
     pq.write_table(pa.Table.from_pylist(rows), str(tmp_path / "embeddings.parquet"))
-    df = kmeans_assign(str(tmp_path), k=2, iterations=3).set_index("vec_id")
+    df = kmeans_assign(str(tmp_path), k=2, iterations=3).to_pandas().set_index("vec_id")
     blob_a = [0] + list(range(2, 31))
     blob_b = [1] + list(range(31, 60))
     assert set(df.loc[blob_a, "cluster"]) == {0}
@@ -454,6 +454,56 @@ def test_ann_kmeans_recall_and_exhaustive(ray_session):
     e = set(map(tuple, exact[["query_id", "neighbor_id"]].to_numpy()))
     a = set(map(tuple, approx[["query_id", "neighbor_id"]].to_numpy()))
     assert len(a & e) / len(e) >= 0.3  # weakly-clustered synth floor
+
+
+def test_tied_neighbours_rank_as_the_oracle(ray_session, tmp_path):
+    """Ids 1-12 are one vector and query 0 sits next to it, so every query
+    meets ties at the top-k cut. Each search must keep the tied neighbours
+    the oracle keeps under (score desc, neighbor_id asc): the smallest ids."""
+    import duckdb
+    import pandas as pd
+
+    import __ray_entry__ as entry
+    from yomitoku_ray.functions.similarity import ann_ivfpq, ann_kmeans, ann_pq
+
+    rng = np.random.RandomState(17)
+    base = rng.randn(16)
+    vecs = [base + 0.01 * rng.randn(16)] + [base] * 12 + list(rng.randn(28, 16))
+    rows = [
+        {"vec_id": i, "embedding": v.tolist(), "label": i % 3}
+        for i, v in enumerate(vecs)
+    ]
+    order = rng.permutation(len(rows))
+    t = pa.Table.from_pylist([rows[i] for i in order]).cast(
+        pa.schema(
+            [
+                ("vec_id", pa.int64()),
+                ("embedding", pa.list_(pa.float64())),
+                ("label", pa.int64()),
+            ]
+        )
+    )
+    pq.write_table(t, str(tmp_path / "embeddings.parquet"))
+
+    con = duckdb.connect()
+    con.register("embeddings", t)
+    want = (
+        con.execute(entry._KNN_SQL)
+        .df()
+        .sort_values(["query_id", "rank"])
+        .reset_index(drop=True)
+        .astype("int64")
+    )
+    assert want[want["query_id"] == 0]["neighbor_id"].tolist() == [1, 2, 3, 4, 5]
+    sf = str(tmp_path)
+    for name, got in [
+        ("knn_brute_force", knn_brute_force(sf)),
+        ("ann_ivf", ann_ivf(sf, nprobe=10**6)),
+        ("ann_lsh", ann_lsh(sf, probe_all=True)),
+        ("ann_kmeans", ann_kmeans(sf, probe_all=True, n_clusters=2)),
+    ]:
+        pd.testing.assert_frame_equal(got, want, obj=name)
+    pd.testing.assert_frame_equal(ann_ivfpq(sf, probe_all=True), ann_pq(sf))
 
 
 def test_ann_queries_self_check(ray_session):

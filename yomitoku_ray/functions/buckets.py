@@ -20,7 +20,7 @@ What goes through it and what stays a plain Ray ``groupby``:
   coarse;
 - buckets that carry meaning stay a plain ``groupby`` because the
   function reads the bucket id: ordered doc-id ranges (``shuffle_rank``,
-  ``pack_sequences``) and LSH buckets (``ann_lsh``);
+  ``pack_sequences``);
 - a native ``.aggregate(Sum/Min/...)`` stays: it never calls Python per
   group.
 
@@ -63,7 +63,6 @@ import os
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import pyarrow.fs as pafs
 
 BYTES_PER_BUCKET = 64 * 2**20
@@ -132,28 +131,27 @@ def bucket_exchange(inputs, key: str, fn, *, size_from=None, expansion: float = 
     ``inputs`` is one Dataset, or a list of Datasets that share the ``key``
     column: a union exchange, so equal keys from every input meet in one
     frame. Each input is tagged before the union, where the tag fuses into
-    that input's last map (Ray does not fuse across a union).
+    that input's last map (Ray does not fuse across a union). Tagging emits
+    pandas blocks, so inputs that make Arrow and pandas blocks meet as one
+    block type in the exchange's sort; pandas, because not every pandas
+    column converts to Arrow (an object column of object arrays does not).
 
     The mask is sized once, here on the driver, from the files or URIs in
     ``size_from`` times ``expansion`` (the floor when ``size_from`` is
     None)."""
     mask = resolve_mask(paths=size_from, expansion=expansion)
 
-    def _tag_bucket(batch):
-        bucket = pd.util.hash_array(np.asarray(batch[key])).astype(np.int64) & mask
-        if isinstance(batch, pd.DataFrame):
-            return batch.assign(**{_BUCKET: bucket})
-        # Schema metadata makes a pa.Schema unhashable, which Ray's block
-        # schema unification logs as a warning for every block.
-        return batch.append_column(_BUCKET, pa.array(bucket)).replace_schema_metadata()
+    def _tag_bucket(batch: pd.DataFrame) -> pd.DataFrame:
+        bucket = pd.util.hash_array(batch[key].to_numpy()).astype(np.int64) & mask
+        return batch.assign(**{_BUCKET: bucket})
 
     @functools.wraps(fn)
     def _run(group: pd.DataFrame):
         return fn(group.drop(columns=[_BUCKET]))
 
     if isinstance(inputs, list):
-        first, *rest = (ds.map_batches(_tag_bucket, batch_format=None) for ds in inputs)
+        first, *rest = (ds.map_batches(_tag_bucket, batch_format="pandas") for ds in inputs)
         tagged = first.union(*rest)
     else:
-        tagged = inputs.map_batches(_tag_bucket, batch_format=None)
+        tagged = inputs.map_batches(_tag_bucket, batch_format="pandas")
     return tagged.groupby(_BUCKET).map_groups(_run, batch_format="pandas")

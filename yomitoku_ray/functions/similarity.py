@@ -1,14 +1,33 @@
-"""Similarity search over the ``embeddings`` table (list<float> column).
+"""Similarity search and clustering over the ``embeddings`` table
+(list<float> column).
 
-- brute-force cosine top-k: numpy matmul per batch against a broadcast query
-  matrix (``ray.put`` once, read in every task) + partial top-k per batch,
-  final top-k per query in a tiny groupby — the baseline ANN path;
-- LSH-bucketed near-dup: blocking on the ``label`` column (the IVF-style
-  partition stand-in), exact within-block cosine.
+Every top-k search is one scan over the embeddings (:func:`_scan_topk`),
+built from a router and a scorer:
 
-Float hygiene for the correctness gate: cosine is computed in float64 and
-only integer columns (ids, ranks) or floor-scaled ints leave the operator,
-so DuckDB double arithmetic hashes identically.
+- the router (:class:`_Router`) sends each vector to one partition and each
+  query to the partitions it probes; the scan drops a vector whose
+  partition no query probes before any scoring. Route-all serves brute
+  force and PQ, random-hyperplane buckets serve LSH, the nearest label
+  centroid serves IVF, and the nearest trained k-means centroid serves
+  learned IVF and IVFPQ;
+- the scorer scores each survivor against exactly the queries probing its
+  partition: cosine on unit vectors, or ADC (asymmetric distance over
+  product-quantization codes, negated so that higher is better);
+- each batch keeps a partial top-k per query in the (score desc,
+  neighbor_id asc) total order, and one ``groupby(query_id)`` merges the
+  partials. No exchange carries an embedding. The batch cut follows the
+  same total order as the merge, so tied neighbours (exact-duplicate
+  vectors) rank as the DuckDB oracle ranks them.
+
+The ``*_stats`` operators count candidates through the same routers, so
+they describe what the search scores. Lloyd training (:func:`_kmeans_train`)
+and the IVF label centroids share one ``(key, n, vec_sum)`` centroid
+combiner (:func:`_centroids`). ``embedding_near_dup`` and ``semdedup`` are
+blocked pair searches, not top-k searches: they keep their own kernels.
+
+Float hygiene for the correctness gate: scores are computed in float64 and
+only integer columns (ids, ranks, codes, flags) leave the operators, so
+DuckDB double arithmetic hashes identically.
 """
 
 from __future__ import annotations
@@ -24,159 +43,121 @@ def _emb_matrix(df: pd.DataFrame) -> np.ndarray:
     return np.stack([np.asarray(v, dtype=np.float64) for v in df["embedding"]])
 
 
-def knn_brute_force(sf_dir: str, k: int = 5, n_queries: int = 10) -> pd.DataFrame:
-    """Top-k cosine neighbors for the first ``n_queries`` vectors.
+def _unit(mat: np.ndarray) -> np.ndarray:
+    return mat / np.linalg.norm(mat, axis=1, keepdims=True)
 
-    Per-batch partial top-k (numpy matmul against the broadcast query
-    matrix) -> groupby(query_id) final top-k. Ties broken by neighbor_id
-    ascending. Self-matches excluded. Output: (query_id, neighbor_id, rank).
-    """
-    path = f"{sf_dir}/embeddings.parquet"
-    queries = (
-        ray.data.read_parquet(path, columns=["vec_id", "embedding"])
-        .filter(expr=f"vec_id < {n_queries}")
-        .to_pandas()
-        .sort_values("vec_id")
-    )
-    q_ids = queries["vec_id"].to_numpy()
-    q_mat = _emb_matrix(queries)
-    q_mat = q_mat / np.linalg.norm(q_mat, axis=1, keepdims=True)
-    q_ref = ray.put((q_ids, q_mat))
 
-    def _partial_topk(df: pd.DataFrame) -> pd.DataFrame:
-        q_ids, q_mat = ray.get(q_ref)
-        v_ids = df["vec_id"].to_numpy()
-        mat = _emb_matrix(df)
-        mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-        scores = q_mat @ mat.T  # (Q, B)
-        out = {"query_id": [], "neighbor_id": [], "score": []}
-        kk = min(k + 1, scores.shape[1])  # +1 headroom for self-match
-        for qi in range(len(q_ids)):
-            s = scores[qi]
-            # partial top-k inside the batch: combiner before the shuffle
-            idx = np.argpartition(-s, kk - 1)[:kk]
-            for j in idx:
-                if v_ids[j] == q_ids[qi]:
-                    continue
-                out["query_id"].append(q_ids[qi])
-                out["neighbor_id"].append(v_ids[j])
-                out["score"].append(s[j])
-        return pd.DataFrame(out)
+def _sq_dists(mat: np.ndarray, cents: np.ndarray) -> np.ndarray:
+    # direct difference form (matches list_distance ordering closely)
+    return ((mat[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
 
-    partials = ray.data.read_parquet(path, columns=["vec_id", "embedding"]).map_batches(
-        _partial_topk, batch_format="pandas", batch_size=1024
-    )
 
-    def _final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score", "neighbor_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        return pd.DataFrame(
-            {
-                "query_id": g["query_id"].astype("int64"),
-                "neighbor_id": g["neighbor_id"].astype("int64"),
-                "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-            }
-        )
-
-    # plain groupby: query_id is dimension-sized
-    out = partials.groupby("query_id").map_groups(_final_topk, batch_format="pandas")
-    return out.to_pandas().sort_values(["query_id", "rank"]).reset_index(drop=True)
+def _kmeans_assign_of(mat: np.ndarray, cents: np.ndarray) -> np.ndarray:
+    # argmin takes the first (= smallest label, rows label-sorted)
+    return np.argmin(_sq_dists(mat, cents), axis=1)
 
 
 def _load_queries(path: str, n_queries: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ids and raw embeddings of the first ``n_queries`` vectors."""
     queries = (
         ray.data.read_parquet(path, columns=["vec_id", "embedding"])
         .filter(expr=f"vec_id < {n_queries}")
         .to_pandas()
         .sort_values("vec_id")
     )
-    q_ids = queries["vec_id"].to_numpy()
-    q_mat = _emb_matrix(queries)
-    return q_ids, q_mat / np.linalg.norm(q_mat, axis=1, keepdims=True)
+    return queries["vec_id"].to_numpy("int64"), _emb_matrix(queries)
 
 
-def _bucketed_topk(
-    path: str,
-    q_ids: np.ndarray,
-    q_mat: np.ndarray,
-    assign_fn,
-    bucket_to_queries: dict[int, np.ndarray],
-    k: int,
-) -> pd.DataFrame:
-    """Partitioned-index ANN skeleton shared by the LSH and IVF variants.
+class _Router:
+    """Partitioned-index routing: ``assign`` maps raw vectors to their
+    partition ids, and query ``i`` probes the distinct partitions in
+    ``query_parts[i]``. ``probes`` inverts that into partition -> probing
+    query indices, the map the scan looks each partition up in."""
 
-    1. An assign stage computes each vector's bucket and DROPS vectors whose
-       bucket no query probes (queries route to their probe set — unprobed
-       partitions never enter the shuffle, the antithesis of a full scan);
-    2. groupby(bucket) co-locates each probed partition, and one vectorized
-       matmul scores the partition against exactly the queries probing it,
-       keeping a per-partition partial top-k;
-    3. a tiny groupby(query_id) merges partials into final ranks.
+    def __init__(self, assign, query_parts):
+        self.assign = assign
+        self.query_parts = [np.asarray(p, dtype=np.int64) for p in query_parts]
+        probes: dict[int, list[int]] = {}
+        for qi, parts in enumerate(self.query_parts):
+            for p in parts:
+                probes.setdefault(int(p), []).append(qi)
+        self.probes = {p: np.array(qs, dtype=np.int64) for p, qs in probes.items()}
 
-    The probe map (bucket -> query ids) is broadcast once via ``ray.put``;
-    at corpus scale the bucket id is the persistent partition key the index
-    would be written under.
+
+def _route_all(n_queries: int) -> _Router:
+    return _Router(lambda mat: np.zeros(len(mat), dtype=np.int64), [[0]] * n_queries)
+
+
+def _centroid_router(q_mat: np.ndarray, dist, nprobe: int) -> _Router:
+    """IVF routing: ``dist(mat)`` is each row's distance to every centroid;
+    a vector lives in its nearest centroid's partition (ties to the first)
+    and a query probes its ``nprobe`` nearest."""
+    return _Router(
+        lambda mat: np.argmin(dist(mat), axis=1).astype(np.int64),
+        [np.argsort(d)[:nprobe] for d in dist(q_mat)],
+    )
+
+
+def _kmeans_router(q_mat: np.ndarray, cents: np.ndarray, nprobe: int) -> _Router:
+    """Routing over cosine-space k-means centroids (learned IVF, IVFPQ)."""
+    return _centroid_router(q_mat, lambda mat: _sq_dists(_unit(mat), cents), nprobe)
+
+
+def _cosine(q_mat: np.ndarray):
+    """Scorer: cosine of the probing queries against a block of vectors.
+    Each pair is summed on its own, not through a matmul: BLAS may round a
+    dot product differently by its position in the block, which would split
+    exact-duplicate vectors that must tie."""
+    q_unit = _unit(q_mat)
+
+    def _score(mat: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        unit = _unit(mat)
+        return np.stack([(unit * q_unit[qi]).sum(axis=1) for qi in qs])
+
+    return _score
+
+
+def _scan_topk(path: str, q_ids: np.ndarray, router: _Router, score, k: int) -> pd.DataFrame:
+    """The one top-k search: a single scan of the embeddings.
+
+    Per batch, ``router.assign`` partitions the vectors and drops those no
+    query probes; ``score(mat, qs)`` scores each partition's survivors
+    against exactly the probing query indices ``qs`` (a (len(qs), rows)
+    array, higher is better); self-matches are excluded and each query
+    keeps its first ``k`` in the (score desc, neighbor_id asc) total order
+    (``np.lexsort``, so ties at the cut follow the merge's order). One
+    ``groupby(query_id)`` merges the partials into ranks.
+
+    Columns: query_id, neighbor_id, rank (int64), sorted by query and rank.
     """
-    probe_ref = ray.put((q_ids, q_mat, bucket_to_queries))
+    ref = ray.put((q_ids, router, score))
 
-    def _assign(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame(
-                {
-                    "vec_id": pd.Series([], dtype="int64"),
-                    "bucket": pd.Series([], dtype="int64"),
-                    "embedding": pd.Series([], dtype=object),
-                }
-            )
-        _, _, probes = ray.get(probe_ref)
-        mat = _emb_matrix(df)
-        mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-        buckets = assign_fn(mat)
-        keep = np.fromiter((int(b) in probes for b in buckets), dtype=bool, count=len(buckets))
-        return pd.DataFrame(
-            {
-                "vec_id": df["vec_id"].to_numpy()[keep],
-                "bucket": buckets[keep],
-                "embedding": [row for row, kp in zip(mat, keep) if kp],
-            }
-        )
-
-    def _score_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "query_id": pd.Series([], dtype="int64"),
-                "neighbor_id": pd.Series([], dtype="int64"),
-                "score": pd.Series([], dtype="float64"),
-            }
-        )
-        q_ids, q_mat, probes = ray.get(probe_ref)
-        qs = probes.get(int(g["bucket"].iloc[0]))
-        if qs is None or len(g) == 0:
-            return empty
-        v_ids = g["vec_id"].to_numpy()
-        mat = np.stack([np.asarray(v, dtype=np.float64) for v in g["embedding"]])
-        scores = q_mat[qs] @ mat.T  # (Q_probing, B)
-        out_q, out_n, out_s = [], [], []
-        kk = min(k + 1, scores.shape[1])
-        for row, qi in enumerate(qs):
-            idx = np.argpartition(-scores[row], kk - 1)[:kk]
-            for j in idx:
-                if v_ids[j] == q_ids[qi]:
+    def _partial(df: pd.DataFrame) -> pd.DataFrame:
+        q_ids, router, score = ray.get(ref)
+        q = [np.zeros(0, dtype=np.int64)]
+        n = [np.zeros(0, dtype=np.int64)]
+        s = [np.zeros(0, dtype=np.float64)]
+        if len(df):
+            mat = _emb_matrix(df)
+            v_ids = df["vec_id"].to_numpy("int64")
+            part = router.assign(mat)
+            for p in np.unique(part):
+                qs = router.probes.get(int(p))
+                if qs is None:
                     continue
-                out_q.append(q_ids[qi])
-                out_n.append(v_ids[j])
-                out_s.append(scores[row, j])
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series(out_q, dtype="int64"),
-                "neighbor_id": pd.Series(out_n, dtype="int64"),
-                "score": pd.Series(out_s, dtype="float64"),
-            }
-        )
+                cols = np.flatnonzero(part == p)
+                q.append(np.repeat(q_ids[qs], len(cols)))
+                n.append(np.tile(v_ids[cols], len(qs)))
+                s.append(score(mat[cols], qs).ravel())
+        q, n, s = np.concatenate(q), np.concatenate(n), np.concatenate(s)
+        order = np.lexsort((n, -s, q))
+        order = order[q[order] != n[order]]
+        q, n, s = q[order], n[order], s[order]
+        top = np.arange(len(q)) - np.searchsorted(q, q) < k
+        return pd.DataFrame({"query_id": q[top], "neighbor_id": n[top], "score": s[top]})
 
     def _final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score", "neighbor_id"], ascending=[False, True])
-        g = g.drop_duplicates("neighbor_id").head(k)
+        g = g.sort_values(["score", "neighbor_id"], ascending=[False, True]).head(k)
         return pd.DataFrame(
             {
                 "query_id": g["query_id"].astype("int64").values,
@@ -185,16 +166,64 @@ def _bucketed_topk(
             }
         )
 
-    partials = (
+    out = (
         ray.data.read_parquet(path, columns=["vec_id", "embedding"])
-        .map_batches(_assign, batch_format="pandas", batch_size=1024)
-        # plain groupby: the LSH bucket / IVF cell is a semantic key the function reads
-        .groupby("bucket")
-        .map_groups(_score_bucket, batch_format="pandas")
+        .map_batches(_partial, batch_format="pandas", batch_size=1024)
+        # plain groupby: query_id is dimension-sized
+        .groupby("query_id")
+        .map_groups(_final, batch_format="pandas")
     )
-    # plain groupby: query_id is dimension-sized
-    out = partials.groupby("query_id").map_groups(_final, batch_format="pandas")
     return out.to_pandas().sort_values(["query_id", "rank"]).reset_index(drop=True)
+
+
+def _candidate_counts(path: str, q_ids: np.ndarray, router: _Router) -> pd.DataFrame:
+    """Per query, the partitions it probes and the vectors living in them
+    (the rows the search scores; the query itself included), counted with
+    a distributed partition histogram. Columns: query_id, n_probed,
+    n_candidates (int64)."""
+
+    def _hist(df: pd.DataFrame) -> pd.DataFrame:
+        u, c = np.unique(router.assign(_emb_matrix(df)), return_counts=True)
+        return pd.DataFrame({"partition": u.astype("int64"), "n": c.astype("int64")})
+
+    hist = (
+        ray.data.read_parquet(path, columns=["vec_id", "embedding"])
+        .map_batches(_hist, batch_format="pandas", batch_size=1024)
+        # plain groupby: a native aggregate calls no Python per group
+        .groupby("partition")
+        .aggregate(Sum("n", alias_name="n"))
+        .to_pandas()  # one row per partition
+    )
+    sizes = dict(zip(hist["partition"].astype(int), hist["n"].astype(int)))
+    rows = [
+        (int(qid), len(parts), sum(sizes.get(int(p), 0) for p in parts))
+        for qid, parts in zip(q_ids, router.query_parts)
+    ]
+    return pd.DataFrame(rows, columns=["query_id", "n_probed", "n_candidates"]).astype("int64")
+
+
+def _recall_floor(exact: pd.DataFrame, approx: pd.DataFrame, floor_pct: int) -> pd.DataFrame:
+    """Int-only recall floor row: does ``approx`` find at least
+    ``floor_pct`` percent of the (query, neighbor) pairs of ``exact``?"""
+    e = set(zip(exact["query_id"], exact["neighbor_id"]))
+    a = set(zip(approx["query_id"], approx["neighbor_id"]))
+    recall_pct = 100 * len(e & a) // max(1, len(e))
+    return pd.DataFrame(
+        {
+            "floor_pct": pd.Series([floor_pct], dtype="int64"),
+            "meets_floor": pd.Series([int(recall_pct >= floor_pct)], dtype="int64"),
+        }
+    )
+
+
+def knn_brute_force(sf_dir: str, k: int = 5, n_queries: int = 10) -> pd.DataFrame:
+    """Exact top-k cosine neighbors of the first ``n_queries`` vectors:
+    the scan with every vector routed to every query. Ties broken by
+    neighbor_id ascending; self-matches excluded. Output: (query_id,
+    neighbor_id, rank)."""
+    path = f"{sf_dir}/embeddings.parquet"
+    q_ids, q_mat = _load_queries(path, n_queries)
+    return _scan_topk(path, q_ids, _route_all(len(q_ids)), _cosine(q_mat), k)
 
 
 def _lsh_probe_masks(n_planes: int, multiprobe_bits: int) -> list[int]:
@@ -219,6 +248,22 @@ def lsh_planes(dim: int, n_planes: int, seed: int) -> np.ndarray:
     return np.random.RandomState(seed).randn(dim, n_planes)
 
 
+def _lsh_router(
+    q_mat: np.ndarray, n_planes: int, seed: int, multiprobe_bits: int, probe_all: bool
+) -> _Router:
+    """A vector's bucket is the sign pattern of its ``n_planes`` projections
+    (norm-invariant, so raw vectors route as the SQL oracle routes them); a
+    query probes its own bucket XOR each multiprobe mask, or every bucket."""
+    planes = lsh_planes(q_mat.shape[1], n_planes, seed)
+
+    def _bucket(mat: np.ndarray) -> np.ndarray:
+        bits = (mat @ planes) > 0
+        return (bits * (1 << np.arange(n_planes))).sum(axis=1).astype(np.int64)
+
+    masks = range(1 << n_planes) if probe_all else _lsh_probe_masks(n_planes, multiprobe_bits)
+    return _Router(_bucket, [[int(b) ^ m for m in masks] for b in _bucket(q_mat)])
+
+
 def ann_lsh(
     sf_dir: str,
     k: int = 5,
@@ -228,99 +273,79 @@ def ann_lsh(
     multiprobe_bits: int = 2,
     probe_all: bool = False,
 ) -> pd.DataFrame:
-    """Approximate top-k via random-hyperplane LSH over a bucket-partitioned
-    index.
+    """Approximate top-k via random-hyperplane LSH.
 
     Each vector hashes to the sign pattern of ``n_planes`` projections; a
     query probes its own bucket plus all buckets within ``multiprobe_bits``
-    bit flips. Vectors are then grouped BY BUCKET (the index partition key)
-    and each probed partition is scored once against its probing queries —
-    see :func:`_bucketed_topk`. Approximate: recall vs ``knn_brute_force``
-    is measured in tests and by the ``ann_recall`` driver query.
+    bit flips, and the scan scores only vectors in probed buckets.
+    Approximate: recall vs ``knn_brute_force`` is measured in tests and by
+    the ``ann_recall`` query.
 
-    ``probe_all=True`` probes every 2^n_planes bucket: the index plumbing
-    (hash, route, partition-shuffle, partial top-k merge) must then
-    reproduce brute force EXACTLY — the oracle-checkable invariant the
-    ``ann_lsh_exhaustive`` driver query pins (same technique as
-    ``ann_ivf_exhaustive``).
+    ``probe_all=True`` probes every 2^n_planes bucket: the routing must
+    then change nothing but scan scope and reproduce brute force EXACTLY —
+    the oracle-checkable invariant the ``ann_lsh_exhaustive`` query
+    pins (same technique as ``ann_ivf_exhaustive``).
     """
     path = f"{sf_dir}/embeddings.parquet"
     q_ids, q_mat = _load_queries(path, n_queries)
-    planes = lsh_planes(q_mat.shape[1], n_planes, seed)
-
-    def _bucket(mat: np.ndarray) -> np.ndarray:
-        bits = (mat @ planes) > 0
-        return (bits * (1 << np.arange(n_planes))).sum(axis=1).astype(np.int64)
-
-    q_buckets = _bucket(q_mat)
-    masks = _lsh_probe_masks(n_planes, multiprobe_bits)
-    bucket_to_queries: dict[int, list] = {}
-    for qi, b in enumerate(q_buckets):
-        if probe_all:
-            probe = set(range(1 << n_planes))
-        else:
-            probe = {int(b) ^ m for m in masks}
-        for pb in probe:
-            bucket_to_queries.setdefault(pb, []).append(qi)
-    probes = {b: np.array(v, dtype=np.int64) for b, v in bucket_to_queries.items()}
-    return _bucketed_topk(path, q_ids, q_mat, _bucket, probes, k)
+    router = _lsh_router(q_mat, n_planes, seed, multiprobe_bits, probe_all)
+    return _scan_topk(path, q_ids, router, _cosine(q_mat), k)
 
 
-def _ivf_centroids(path: str) -> np.ndarray:
-    """Label-partition centroids (normalized, label-sorted), computed
-    distributed with the :func:`_kmeans_train` combiner shape: a per-batch
-    (vec_sum, count) partial keyed by label, reduced through a label-key
-    groupby. No task ever materializes a full label partition — the shuffle
-    carries one dim-sized row per (batch, label), and the C x dim result is
-    the one tiny driver-side collect.
+def _centroids(ds: ray.data.Dataset, keyed) -> tuple[np.ndarray, np.ndarray]:
+    """The one centroid combiner: per-key mean vectors of ``ds``, where
+    ``keyed(df)`` gives a batch's (keys, vectors). Each batch emits one
+    ``(key, n, vec_sum)`` partial per key it holds and a key groupby adds
+    them, so no task ever holds a whole partition and only the key-count x
+    dim result reaches the driver. Returns (keys ascending, means).
 
-    Float note: partial-sum order follows block layout, so centroids are
-    deterministic only to summation ulps — exactly the tolerance the gate
-    already grants (the DuckDB oracle computes AVG in its own order); the
-    discrete outputs downstream (routing, candidate counts) are far from
-    any ulp-scale tie on the synthetic embeddings.
+    Float note: partial-sum order follows block layout, so means are
+    deterministic only to summation ulps — the tolerance the gate already
+    grants (DuckDB computes AVG in its own order); the discrete outputs
+    downstream (routing, labels, counts) sit far from ulp-scale ties on
+    the synthetic embeddings.
     """
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        mat = _emb_matrix(df)
-        lab = df["label"].to_numpy(dtype="int64")
+        keys, mat = keyed(df)
         rows = []
-        for lb in np.unique(lab):
-            sel = mat[lab == lb]
-            rows.append(
-                {"label": int(lb), "n": len(sel), "vec_sum": sel.sum(axis=0).tolist()}
-            )
-        return pd.DataFrame(rows, columns=["label", "n", "vec_sum"])
+        for key in np.unique(keys):
+            sel = mat[keys == key]
+            rows.append({"key": int(key), "n": len(sel), "vec_sum": sel.sum(axis=0).tolist()})
+        return pd.DataFrame(rows, columns=["key", "n", "vec_sum"])
 
     def _reduce(g: pd.DataFrame) -> pd.DataFrame:
-        vec = np.stack(
-            [np.asarray(v, dtype=np.float64) for v in g["vec_sum"]]
-        ).sum(axis=0)
+        vec = np.stack([np.asarray(v, dtype=np.float64) for v in g["vec_sum"]]).sum(axis=0)
         return pd.DataFrame(
             {
-                "label": pd.Series([int(g["label"].iloc[0])], dtype="int64"),
+                "key": pd.Series([int(g["key"].iloc[0])], dtype="int64"),
                 "n": pd.Series([int(g["n"].sum())], dtype="int64"),
                 "vec_sum": [vec.tolist()],
             }
         )
 
     parts = (
-        ray.data.read_parquet(path, columns=["label", "embedding"])
-        .map_batches(_partial, batch_format="pandas", batch_size=1024)
-        # plain groupby: the k-means label is dimension-sized
-        .groupby("label")
+        ds.map_batches(_partial, batch_format="pandas", batch_size=1024)
+        # plain groupby: a centroid key (k-means cluster, label) is dimension-sized
+        .groupby("key")
         .map_groups(_reduce, batch_format="pandas")
-        .to_pandas()  # C rows of (label, n, dim floats) — the ONLY collect
-        .sort_values("label")
-        .reset_index(drop=True)
+        .to_pandas()  # one row per key — the only driver-side state
+        .sort_values("key")
     )
-    cents = np.stack(
-        [
-            np.asarray(v, dtype=np.float64) / int(n)
-            for v, n in zip(parts["vec_sum"], parts["n"])
-        ]
+    means = np.stack(
+        [np.asarray(v, dtype=np.float64) / int(n) for v, n in zip(parts["vec_sum"], parts["n"])]
     )
-    return cents / np.linalg.norm(cents, axis=1, keepdims=True)
+    return parts["key"].to_numpy("int64"), means
+
+
+def _ivf_router(path: str, q_mat: np.ndarray, nprobe: int) -> _Router:
+    """Routing over the ``label`` partitions: centroid = per-label mean,
+    normalized; a vector lives in its highest-cosine centroid's partition
+    (norm-invariant, so raw vectors route as the SQL oracle routes them)."""
+    ds = ray.data.read_parquet(path, columns=["label", "embedding"])
+    _, cents = _centroids(ds, lambda df: (df["label"].to_numpy("int64"), _emb_matrix(df)))
+    cents = _unit(cents)
+    return _centroid_router(q_mat, lambda mat: -(mat @ cents.T), nprobe)
 
 
 def ann_ivf(
@@ -333,29 +358,16 @@ def ann_ivf(
     partitions (centroid = per-label mean, computed distributed).
 
     Assignment is nearest-centroid; a query probes its ``nprobe`` nearest
-    centroid partitions — only those partitions are shuffled and scored
-    (same skeleton as :func:`ann_lsh`). The synthetic embeddings are only
-    weakly clustered (within-label mean cosine ~0.025 vs ~0.004 cross), so
-    recall tracks scan fraction: nprobe 6/10 measures 80% recall@5 at
-    sf0.01 (7->90%, 8->94%). The ``ann_recall`` driver query pins a 70%
-    floor under this config; on genuinely clustered corpora the same index
-    with trained centroids shifts the whole curve up.
+    centroid partitions and the scan scores only those. The synthetic
+    embeddings are only weakly clustered (within-label mean cosine ~0.025
+    vs ~0.004 cross), so recall tracks scan fraction: nprobe 6/10 measures
+    80% recall@5 at sf0.01 (7->90%, 8->94%). The ``ann_recall``
+    query pins a 70% floor under this config; on genuinely clustered
+    corpora the same index with trained centroids shifts the whole curve up.
     """
-    cents = _ivf_centroids(f"{sf_dir}/embeddings.parquet")
     path = f"{sf_dir}/embeddings.parquet"
-
-    def _assign_fn(mat: np.ndarray) -> np.ndarray:
-        return np.argmax(mat @ cents.T, axis=1).astype(np.int64)
-
     q_ids, q_mat = _load_queries(path, n_queries)
-    q_scores = q_mat @ cents.T  # (Q, C)
-    probes: dict[int, list] = {}
-    for qi in range(len(q_ids)):
-        top = np.argsort(-q_scores[qi])[: min(nprobe, len(cents))]
-        for b in top:
-            probes.setdefault(int(b), []).append(qi)
-    probe_map = {b: np.array(v, dtype=np.int64) for b, v in probes.items()}
-    return _bucketed_topk(path, q_ids, q_mat, _assign_fn, probe_map, k)
+    return _scan_topk(path, q_ids, _ivf_router(path, q_mat, nprobe), _cosine(q_mat), k)
 
 
 def ann_lsh_stats(
@@ -366,84 +378,32 @@ def ann_lsh_stats(
     multiprobe_bits: int = 2,
 ) -> pd.DataFrame:
     """Exact-integer bounds of the default :func:`ann_lsh` configuration,
-    DuckDB-checkable (VERDICT r3 #7): per query, the number of probed
-    buckets and the candidate-set size (vectors living in probed buckets,
-    the rows the index actually scores; includes the query itself).
+    DuckDB-checkable: per query, the number of probed buckets and the
+    candidate-set size (vectors living in probed buckets, the rows the
+    index actually scores; includes the query itself), counted through the
+    search's own router.
 
-    Sign of ``dot(v, plane)`` is normalization-invariant, so the SQL
-    oracle reproduces the bucket assignment from the RAW embeddings with
-    the identical plane literals (see ``oracle_sql``). The bucket
-    histogram is computed distributed (partial counts per batch, one
-    2^n_planes-sized groupby); only that tiny table reaches the driver.
+    The SQL oracle reproduces the bucket assignment from the raw
+    embeddings with the identical plane literals (see ``oracle_sql``).
     Columns: query_id, n_probed, n_candidates (all int64).
     """
     path = f"{sf_dir}/embeddings.parquet"
     q_ids, q_mat = _load_queries(path, n_queries)
-    planes = lsh_planes(q_mat.shape[1], n_planes, seed)
-
-    def _bucket(mat: np.ndarray) -> np.ndarray:
-        bits = (mat @ planes) > 0
-        return (bits * (1 << np.arange(n_planes))).sum(axis=1).astype(np.int64)
-
-    def _hist(df: pd.DataFrame) -> pd.DataFrame:
-        u, c = np.unique(_bucket(_emb_matrix(df)), return_counts=True)
-        return pd.DataFrame({"bucket": u.astype("int64"), "n": c.astype("int64")})
-
-    hist = (
-        ray.data.read_parquet(path, columns=["vec_id", "embedding"])
-        .map_batches(_hist, batch_format="pandas", batch_size=1024)
-        # plain groupby: a native aggregate calls no Python per group
-        .groupby("bucket")
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # <= 2^n_planes rows
-    )
-    sizes = dict(zip(hist["bucket"].astype(int), hist["n"].astype(int)))
-    masks = _lsh_probe_masks(n_planes, multiprobe_bits)
-    rows = []
-    for qid, b in zip(q_ids, _bucket(q_mat)):
-        probe = {int(b) ^ m for m in masks}
-        rows.append((int(qid), len(probe), sum(sizes.get(p, 0) for p in probe)))
-    return pd.DataFrame(
-        rows, columns=["query_id", "n_probed", "n_candidates"]
-    ).astype("int64")
+    router = _lsh_router(q_mat, n_planes, seed, multiprobe_bits, probe_all=False)
+    return _candidate_counts(path, q_ids, router)
 
 
 def ann_ivf_stats(sf_dir: str, n_queries: int = 10, nprobe: int = 6) -> pd.DataFrame:
     """Exact-integer bounds of the default :func:`ann_ivf` configuration,
     DuckDB-checkable: per query, probed-partition count and candidate-set
     size (vectors assigned to the query's ``nprobe`` nearest centroid
-    partitions). Assignment/probing is scale-invariant in the vector norm,
-    so the SQL oracle recomputes centroids, assignments and probe sets
-    from the raw embeddings. Columns: query_id, n_probed, n_candidates.
+    partitions), counted through the search's own router. The SQL oracle
+    recomputes centroids, assignments and probe sets from the raw
+    embeddings. Columns: query_id, n_probed, n_candidates.
     """
     path = f"{sf_dir}/embeddings.parquet"
-    cents = _ivf_centroids(path)
-
-    def _hist(df: pd.DataFrame) -> pd.DataFrame:
-        cell = np.argmax(_emb_matrix(df) @ cents.T, axis=1)
-        u, c = np.unique(cell, return_counts=True)
-        return pd.DataFrame({"cell": u.astype("int64"), "n": c.astype("int64")})
-
-    hist = (
-        ray.data.read_parquet(path, columns=["vec_id", "embedding"])
-        .map_batches(_hist, batch_format="pandas", batch_size=1024)
-        # plain groupby: a native aggregate calls no Python per group
-        .groupby("cell")
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # <= n_labels rows
-    )
-    sizes = dict(zip(hist["cell"].astype(int), hist["n"].astype(int)))
     q_ids, q_mat = _load_queries(path, n_queries)
-    q_scores = q_mat @ cents.T
-    rows = []
-    for qi, qid in enumerate(q_ids):
-        top = np.argsort(-q_scores[qi])[: min(nprobe, len(cents))]
-        rows.append(
-            (int(qid), len(top), sum(sizes.get(int(b), 0) for b in top))
-        )
-    return pd.DataFrame(
-        rows, columns=["query_id", "n_probed", "n_candidates"]
-    ).astype("int64")
+    return _candidate_counts(path, q_ids, _ivf_router(path, q_mat, nprobe))
 
 
 def ann_recall(sf_dir: str, floor_pct: int = 70) -> pd.DataFrame:
@@ -451,17 +411,7 @@ def ann_recall(sf_dir: str, floor_pct: int = 70) -> pd.DataFrame:
     vs exact brute force (measured 80% at sf0.01 under the default nprobe=6
     config — see :func:`ann_ivf`). Output is int-only; the oracle asserts
     the floor holds, so a recall regression turns this row red."""
-    exact = knn_brute_force(sf_dir)
-    approx = ann_ivf(sf_dir)
-    e = set(zip(exact["query_id"], exact["neighbor_id"]))
-    a = set(zip(approx["query_id"], approx["neighbor_id"]))
-    recall_pct = 100 * len(e & a) // max(1, len(e))
-    return pd.DataFrame(
-        {
-            "floor_pct": pd.Series([floor_pct], dtype="int64"),
-            "meets_floor": pd.Series([int(recall_pct >= floor_pct)], dtype="int64"),
-        }
-    )
+    return _recall_floor(knn_brute_force(sf_dir), ann_ivf(sf_dir), floor_pct)
 
 
 def embedding_near_dup(
@@ -525,125 +475,70 @@ def embedding_near_dup(
     return ds.groupby("label").map_groups(_block, batch_format="pandas")
 
 
-def _kmeans_assign_of(mat: np.ndarray, cents: np.ndarray) -> np.ndarray:
-    # direct difference form (matches list_distance ordering closely);
-    # argmin takes the first (= smallest label, rows label-sorted)
-    d = ((mat[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d, axis=1)
-
-
 def _kmeans_train(
     path: str,
     k: int,
     iterations: int,
     normalize: bool = False,
-    dims: tuple[int, int] | None = None,
+    dims: slice | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd training loop shared by :func:`kmeans_assign`,
-    :func:`ann_kmeans` and :func:`pq_codes`: deterministic seed (vec_id
-    0..k-1), broadcast centroids, per-batch (sum, count) combiner reduced
-    through a k-key groupby — the driver only ever sees k x dim floats.
-    ``dims=(lo, hi)`` trains on the embedding SUBSPACE ``[lo:hi)`` (the
-    product-quantization case)."""
+    :func:`ann_kmeans`, :func:`semdedup` and the PQ codebooks:
+    deterministic seed (vec_id 0..k-1), then per round the
+    :func:`_centroids` combiner over the current assignment — the driver
+    only ever sees k x dim floats. ``dims`` trains on an embedding
+    SUBSPACE (the product-quantization case). Clusters that lose all
+    members drop out of later rounds. Returns (labels, centroids)."""
+
+    def _prep(df: pd.DataFrame) -> np.ndarray:
+        mat = _emb_matrix(df)
+        if dims is not None:
+            mat = mat[:, dims]
+        return _unit(mat) if normalize else mat
+
     init = (
         ray.data.read_parquet(path, columns=["vec_id", "embedding"])
         .filter(expr=f"vec_id < {k}")
         .to_pandas()
         .sort_values("vec_id")
     )
-    labels = init["vec_id"].to_numpy("int64")
-    cents = _emb_matrix(init)
-    if dims is not None:
-        cents = cents[:, dims[0] : dims[1]]
-    if normalize:
-        cents = cents / np.linalg.norm(cents, axis=1, keepdims=True)
-
+    labels, cents = init["vec_id"].to_numpy("int64"), _prep(init)
     ds = ray.data.read_parquet(path, columns=["vec_id", "embedding"])
     for _ in range(iterations - 1):
-        ref = ray.put((labels, cents))
 
-        def _partial(df: pd.DataFrame) -> pd.DataFrame:
-            labels, cents = ray.get(ref)
-            mat = _emb_matrix(df)
-            if dims is not None:
-                mat = mat[:, dims[0] : dims[1]]
-            if normalize:
-                mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-            a = _kmeans_assign_of(mat, cents)
-            rows = []
-            for ci in np.unique(a):
-                sel = mat[a == ci]
-                rows.append(
-                    {
-                        "cluster": int(labels[ci]),
-                        "n": len(sel),
-                        "vec_sum": sel.sum(axis=0).tolist(),
-                    }
-                )
-            return pd.DataFrame(rows)
+        def _keyed(df, labels=labels, cents=cents):
+            mat = _prep(df)
+            return labels[_kmeans_assign_of(mat, cents)], mat
 
-        def _reduce_cluster(g: pd.DataFrame) -> pd.DataFrame:
-            vec = np.stack(
-                [np.asarray(v, dtype=np.float64) for v in g["vec_sum"]]
-            ).sum(axis=0)
-            return pd.DataFrame(
-                {
-                    "cluster": pd.Series([int(g["cluster"].iloc[0])], dtype="int64"),
-                    "n": pd.Series([int(g["n"].sum())], dtype="int64"),
-                    "vec_sum": [vec.tolist()],
-                }
-            )
-
-        parts = (
-            ds.map_batches(_partial, batch_format="pandas", batch_size=1024)
-            # plain groupby: the k-means cluster is dimension-sized
-            .groupby("cluster")
-            .map_groups(_reduce_cluster, batch_format="pandas")
-            .to_pandas()  # k rows — the ONLY driver-side state
-        )
-        counts = {int(r.cluster): int(r.n) for r in parts.itertuples(index=False)}
-        sums = {
-            int(r.cluster): np.asarray(r.vec_sum, dtype=np.float64)
-            for r in parts.itertuples(index=False)
-        }
-        labels = np.array(sorted(counts), dtype="int64")
-        cents = np.stack([sums[c] / counts[c] for c in labels])
+        labels, cents = _centroids(ds, _keyed)
     return labels, cents
 
 
-def kmeans_assign(sf_dir: str, k: int = 8, iterations: int = 2) -> pd.DataFrame:
+def kmeans_assign(sf_dir: str, k: int = 8, iterations: int = 2) -> ray.data.Dataset:
     """Distributed Lloyd k-means over the embeddings table: ``iterations``
     assignment rounds from a deterministic seed (centroids = the
     embeddings of vec_id 0..k-1), returning the final assignment.
 
-    Scale shape: centroids broadcast via ``ray.put`` each round; the
-    assignment is a vectorized per-batch argmin; the centroid update is a
-    per-batch partial (sum-vector, count) combiner aggregated driver-side
-    — k x dim floats of coordination state, never a shuffle of vectors.
-    Discrete outputs only (cluster ids, ties to the smallest cluster id),
-    so float ulp noise between numpy and the DuckDB oracle cannot leak
-    into the hash. Clusters that lose all members are dropped from later
-    rounds (matching the SQL formulation).
+    Scale shape: centroids are broadcast to every task; the assignment is
+    a vectorized per-batch argmin; the centroid update is the per-batch
+    partial (sum-vector, count) combiner — k x dim floats of coordination
+    state, never a shuffle of vectors. Discrete outputs only (cluster ids,
+    ties to the smallest cluster id), so float ulp noise between numpy and
+    the DuckDB oracle cannot leak into the hash. Clusters that lose all
+    members are dropped from later rounds (matching the SQL formulation).
 
-    Columns: vec_id, cluster (int64).
+    Columns: vec_id, cluster (int64); one row per vector, so a Dataset.
     """
     path = f"{sf_dir}/embeddings.parquet"
     labels, cents = _kmeans_train(path, k, iterations)
-    ds = ray.data.read_parquet(path, columns=["vec_id", "embedding"])
-    ref = ray.put((labels, cents))
 
     def _final(df: pd.DataFrame) -> pd.DataFrame:
-        labels, cents = ray.get(ref)
         a = _kmeans_assign_of(_emb_matrix(df), cents)
-        return pd.DataFrame(
-            {
-                "vec_id": df["vec_id"].astype("int64"),
-                "cluster": labels[a],
-            }
-        )
+        return pd.DataFrame({"vec_id": df["vec_id"].astype("int64"), "cluster": labels[a]})
 
-    out = ds.map_batches(_final, batch_format="pandas", batch_size=1024).to_pandas()
-    return out.sort_values("vec_id").reset_index(drop=True)
+    return ray.data.read_parquet(path, columns=["vec_id", "embedding"]).map_batches(
+        _final, batch_format="pandas", batch_size=1024
+    )
 
 
 def semdedup(
@@ -756,10 +651,10 @@ def ann_kmeans(
     n_clusters: int = 8,
     probe_all: bool = False,
 ) -> pd.DataFrame:
-    """IVF over LEARNED partitions: the index composition of
-    :func:`_kmeans_train` (cosine-space Lloyd on normalized vectors) with
-    the shared partitioned-ANN skeleton — queries probe their ``nprobe``
-    nearest centroids, only probed partitions shuffle and score.
+    """IVF over LEARNED partitions: :func:`_kmeans_train` (cosine-space
+    Lloyd on normalized vectors) routes, cosine scores — queries probe
+    their ``nprobe`` nearest centroids and the scan scores only probed
+    partitions.
 
     ``probe_all=True`` is the exhaustive invariant: probing every
     partition must reproduce brute force exactly (hash-checked against
@@ -767,19 +662,43 @@ def ann_kmeans(
     """
     path = f"{sf_dir}/embeddings.parquet"
     _, cents = _kmeans_train(path, n_clusters, 2, normalize=True)
-
-    def _assign_fn(mat: np.ndarray) -> np.ndarray:
-        return _kmeans_assign_of(mat, cents).astype(np.int64)
-
     q_ids, q_mat = _load_queries(path, n_queries)
-    qd = ((q_mat[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    nb = len(cents) if probe_all else min(nprobe, len(cents))
-    probes: dict[int, list] = {}
-    for qi in range(len(q_ids)):
-        for b in np.argsort(qd[qi])[:nb]:
-            probes.setdefault(int(b), []).append(qi)
-    probe_map = {b: np.array(v, dtype=np.int64) for b, v in probes.items()}
-    return _bucketed_topk(path, q_ids, q_mat, _assign_fn, probe_map, k)
+    router = _kmeans_router(q_mat, cents, len(cents) if probe_all else nprobe)
+    return _scan_topk(path, q_ids, router, _cosine(q_mat), k)
+
+
+def _pq_codebooks(
+    path: str, m: int, n_cents: int, iterations: int
+) -> list[tuple[slice, np.ndarray]]:
+    """Product-quantization set-up: ``m`` equal subspaces, each with its
+    own codebook from the shared Lloyd combiner (:func:`_kmeans_train`
+    over the subspace slice). Returns (slice, centroids) per subspace."""
+    first = ray.data.read_parquet(path, columns=["embedding"]).take(1)[0]["embedding"]
+    dim = len(first)
+    if dim % m:
+        raise ValueError(f"dim {dim} not divisible by m={m}")
+    per = dim // m
+    subspaces = [slice(j * per, (j + 1) * per) for j in range(m)]
+    return [(sl, _kmeans_train(path, n_cents, iterations, dims=sl)[1]) for sl in subspaces]
+
+
+def _pq_encode(mat: np.ndarray, books) -> list[np.ndarray]:
+    """Each vector's code (nearest sub-centroid index) in every subspace."""
+    return [_kmeans_assign_of(mat[:, sl], cents) for sl, cents in books]
+
+
+def _adc(q_mat: np.ndarray, books):
+    """Scorer: asymmetric distance computation. Each query precomputes an
+    (m x n_cents) table of squared distances to every sub-centroid once;
+    a vector is scored from its ``m`` codes by table lookups alone, never
+    by its raw embedding. Negated so that higher is better."""
+    tables = [_sq_dists(q_mat[:, sl], cents) for sl, cents in books]
+
+    def _score(mat: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        codes = _pq_encode(mat, books)
+        return -sum(t[qs][:, c] for t, c in zip(tables, codes))
+
+    return _score
 
 
 def pq_codes(
@@ -795,38 +714,21 @@ def pq_codes(
     per vector).
 
     Each of the ``m`` equal subspaces trains its own codebook with the
-    shared distributed Lloyd combiner (:func:`_kmeans_train` with
-    ``dims`` slicing — k x (dim/m) driver floats per subspace), then ONE
-    vectorized pass assigns every vector in every subspace (broadcast
-    codebooks, no shuffle). Outputs are pure integer labels, so the float
+    shared distributed Lloyd combiner (k x (dim/m) driver floats per
+    subspace), then ONE vectorized pass assigns every vector in every
+    subspace (no shuffle). Outputs are pure integer labels, so the float
     seam is the same assignment-margin contract as :func:`kmeans_assign`
     (verified on the synth tables).
 
     Columns: vec_id, code_0..code_{m-1} (int64).
     """
     path = f"{sf_dir}/embeddings.parquet"
-    first = (
-        ray.data.read_parquet(path, columns=["embedding"]).take(1)[0]["embedding"]
-    )
-    dim = len(first)
-    if dim % m:
-        raise ValueError(f"dim {dim} not divisible by m={m}")
-    per = dim // m
-    models = []
-    for j in range(m):
-        _labels, cents = _kmeans_train(
-            path, k, iterations, dims=(j * per, (j + 1) * per)
-        )
-        models.append(cents)
-    ref = ray.put(models)
+    books = _pq_codebooks(path, m, k, iterations)
 
     def _assign(df: pd.DataFrame) -> pd.DataFrame:
-        models = ray.get(ref)
-        mat = _emb_matrix(df)
+        codes = _pq_encode(_emb_matrix(df), books)
         out = {"vec_id": df["vec_id"].astype("int64")}
-        for j, cents in enumerate(models):
-            sub = mat[:, j * per : (j + 1) * per]
-            out[f"code_{j}"] = _kmeans_assign_of(sub, cents).astype("int64")
+        out.update({f"code_{j}": c.astype("int64") for j, c in enumerate(codes)})
         return pd.DataFrame(out)
 
     return ray.data.read_parquet(path, columns=["vec_id", "embedding"]).map_batches(
@@ -844,101 +746,19 @@ def ann_pq(
 ) -> pd.DataFrame:
     """Asymmetric-distance (ADC) search over product-quantized codes —
     the search half of the IVFPQ architecture (Jegou et al. 2011): the
-    index stores only each vector's ``m`` codes; a query precomputes an
-    (m x n_cents) table of squared distances to every sub-centroid ONCE
-    and scores any vector with ``m`` table lookups, never touching the
-    raw embedding again.
+    index stores only each vector's ``m`` codes and the scan scores every
+    vector from its codes by table lookups (:func:`_adc`). The raw-
+    embedding read stands in for reading a stored codes table.
 
-    Scale shape: codebooks from the shared Lloyd combiner (broadcast);
-    per batch, one vectorized pass assigns codes AND scores all queries
-    via fancy-indexed table lookups (n_q x B from m gathers) with a
-    partial top-k combiner; a tiny groupby(query_id) merges ranks. The
-    raw-embedding read here stands in for reading a stored codes table —
-    the scoring path uses ONLY codes + tables.
-
-    Float contract: ranking by summed squared sub-distances (exact ADC
-    order); ties by neighbor_id — the :func:`knn_brute_force` posture
-    (margins on the synth tables dwarf cross-engine double noise; the
-    hash gate verifies). Columns: query_id, neighbor_id, rank (int64).
+    Ranking by summed squared sub-distances (exact ADC order), ties by
+    neighbor_id. Quantized distances tie heavily (few distinct code
+    combinations); the scan's tie-aware cut keeps them in that order.
+    Columns: query_id, neighbor_id, rank (int64).
     """
     path = f"{sf_dir}/embeddings.parquet"
-    first = ray.data.read_parquet(path, columns=["embedding"]).take(1)[0][
-        "embedding"
-    ]
-    dim = len(first)
-    if dim % m:
-        raise ValueError(f"dim {dim} not divisible by m={m}")
-    per = dim // m
-    models = [
-        _kmeans_train(path, n_cents, iterations, dims=(j * per, (j + 1) * per))[1]
-        for j in range(m)
-    ]
-    queries = (
-        ray.data.read_parquet(path, columns=["vec_id", "embedding"])
-        .filter(expr=f"vec_id < {n_queries}")
-        .to_pandas()
-        .sort_values("vec_id")
-    )
-    q_ids = queries["vec_id"].to_numpy("int64")
-    q_mat = _emb_matrix(queries)
-    # per-query ADC tables: (m, n_q, k_j) squared distances to sub-centroids
-    tables = []
-    for j, cents in enumerate(models):
-        qs = q_mat[:, j * per : (j + 1) * per]
-        tables.append(((qs[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2))
-    ref = ray.put((q_ids, models, tables))
-
-    def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        q_ids, models, tables = ray.get(ref)
-        mat = _emb_matrix(df)
-        v_ids = df["vec_id"].to_numpy("int64")
-        n_q = len(q_ids)
-        dist = np.zeros((n_q, len(v_ids)), dtype=np.float64)
-        for j, cents in enumerate(models):
-            sub = mat[:, j * per : (j + 1) * per]
-            codes = _kmeans_assign_of(sub, cents)
-            dist += tables[j][:, codes]  # (n_q, B) gather per subspace
-        out_q, out_n, out_d = [], [], []
-        kk = min(k + 1, dist.shape[1])
-        for qi in range(n_q):
-            # Quantized distances tie HEAVILY (few distinct code combos),
-            # so the batch-local truncation must follow the same total
-            # order as the final merge — (dist, nid) — or ties at the
-            # cut get dropped arbitrarily (argpartition is NOT tie-aware)
-            idx = np.lexsort((v_ids, dist[qi]))[:kk]
-            for jj in idx:
-                if v_ids[jj] == q_ids[qi]:
-                    continue
-                out_q.append(q_ids[qi])
-                out_n.append(v_ids[jj])
-                out_d.append(dist[qi, jj])
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series(out_q, dtype="int64"),
-                "neighbor_id": pd.Series(out_n, dtype="int64"),
-                "dist": pd.Series(out_d, dtype="float64"),
-            }
-        )
-
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["dist", "neighbor_id"], ascending=[True, True]).head(k)
-        return pd.DataFrame(
-            {
-                "query_id": g["query_id"].astype("int64").values,
-                "neighbor_id": g["neighbor_id"].astype("int64").values,
-                "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-            }
-        )
-
-    out = (
-        ray.data.read_parquet(path, columns=["vec_id", "embedding"])
-        .map_batches(_partial, batch_format="pandas", batch_size=1024)
-        # plain groupby: query_id is dimension-sized
-        .groupby("query_id")
-        .map_groups(_final, batch_format="pandas")
-        .to_pandas()
-    )
-    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
+    books = _pq_codebooks(path, m, n_cents, iterations)
+    q_ids, q_mat = _load_queries(path, n_queries)
+    return _scan_topk(path, q_ids, _route_all(len(q_ids)), _adc(q_mat, books), k)
 
 
 def ann_ivfpq(
@@ -952,134 +772,20 @@ def ann_ivfpq(
     iterations: int = 2,
     probe_all: bool = False,
 ) -> pd.DataFrame:
-    """IVFPQ (Jegou et al. 2011): the full composition of the two halves
-    this module already proves separately — coarse trained-kmeans routing
-    (:func:`ann_kmeans`) picks each query's ``nprobe`` partitions, and
-    inside probed partitions vectors are scored by ADC over their product-
-    quantized codes only (:func:`ann_pq`), never touching raw embeddings
-    in the scoring path. This is the no-residual variant (FAISS
-    ``IndexIVFPQ`` with ``by_residual=False``): sub-codebooks are trained
-    on raw vectors, so ``probe_all=True`` must reproduce :func:`ann_pq`
-    EXACTLY — the hash gate for this operator.
-
-    Scale shape: both quantizers come from the shared Lloyd combiner
-    (driver state = n_clusters x dim + m x n_cents x dim/m floats,
-    broadcast once); the scan is one map_batches pass that drops vectors
-    whose coarse partition no query probes BEFORE any scoring, ADC-scores
-    survivors against exactly the queries probing their partition (m table
-    gathers per vector), keeps a tie-aware batch-local top-k, and merges
-    through a tiny groupby(query_id). No shuffle ever carries an
-    embedding — only (query_id, neighbor_id, dist) partials.
+    """IVFPQ (Jegou et al. 2011): coarse trained-kmeans routing
+    (:func:`ann_kmeans`'s router) picks each query's ``nprobe``
+    partitions, and ADC over product-quantized codes (:func:`ann_pq`'s
+    scorer) scores the vectors in them. This is the no-residual variant
+    (FAISS ``IndexIVFPQ`` with ``by_residual=False``): sub-codebooks are
+    trained on raw vectors, so ``probe_all=True`` must reproduce
+    :func:`ann_pq` EXACTLY — the hash gate for this operator.
 
     Columns: query_id, neighbor_id, rank (int64).
     """
     path = f"{sf_dir}/embeddings.parquet"
-    first = ray.data.read_parquet(path, columns=["embedding"]).take(1)[0][
-        "embedding"
-    ]
-    dim = len(first)
-    if dim % m:
-        raise ValueError(f"dim {dim} not divisible by m={m}")
-    per = dim // m
+    books = _pq_codebooks(path, m, n_cents, iterations)
     # coarse quantizer: cosine-space Lloyd (the ann_kmeans convention)
     _, coarse = _kmeans_train(path, n_clusters, iterations, normalize=True)
-    # PQ sub-codebooks: raw-space sliced Lloyd (the ann_pq convention)
-    models = [
-        _kmeans_train(path, n_cents, iterations, dims=(j * per, (j + 1) * per))[1]
-        for j in range(m)
-    ]
-
-    queries = (
-        ray.data.read_parquet(path, columns=["vec_id", "embedding"])
-        .filter(expr=f"vec_id < {n_queries}")
-        .to_pandas()
-        .sort_values("vec_id")
-    )
-    q_ids = queries["vec_id"].to_numpy("int64")
-    q_mat = _emb_matrix(queries)
-    q_norm = q_mat / np.linalg.norm(q_mat, axis=1, keepdims=True)
-    qd = ((q_norm[:, None, :] - coarse[None, :, :]) ** 2).sum(axis=2)
-    nb = len(coarse) if probe_all else min(nprobe, len(coarse))
-    probes: dict[int, list] = {}
-    for qi in range(len(q_ids)):
-        for b in np.argsort(qd[qi])[:nb]:
-            probes.setdefault(int(b), []).append(qi)
-    probe_map = {b: np.array(v, dtype=np.int64) for b, v in probes.items()}
-    tables = []
-    for j, cents in enumerate(models):
-        qs = q_mat[:, j * per : (j + 1) * per]
-        tables.append(((qs[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2))
-    ref = ray.put((q_ids, coarse, models, tables, probe_map))
-
-    def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        q_ids, coarse, models, tables, probe_map = ray.get(ref)
-        empty = pd.DataFrame(
-            {
-                "query_id": pd.Series([], dtype="int64"),
-                "neighbor_id": pd.Series([], dtype="int64"),
-                "dist": pd.Series([], dtype="float64"),
-            }
-        )
-        if len(df) == 0:
-            return empty
-        mat = _emb_matrix(df)
-        v_ids = df["vec_id"].to_numpy("int64")
-        norm = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-        part = _kmeans_assign_of(norm, coarse).astype(np.int64)
-        keep = np.fromiter(
-            (int(b) in probe_map for b in part), dtype=bool, count=len(part)
-        )
-        if not keep.any():
-            return empty
-        mat, v_ids, part = mat[keep], v_ids[keep], part[keep]
-        # ADC distances for the whole kept batch (same gathers as ann_pq)
-        n_q = len(q_ids)
-        dist = np.zeros((n_q, len(v_ids)), dtype=np.float64)
-        for j, cents in enumerate(models):
-            sub = mat[:, j * per : (j + 1) * per]
-            codes = _kmeans_assign_of(sub, cents)
-            dist += tables[j][:, codes]
-        out_q, out_n, out_d = [], [], []
-        for b in np.unique(part):
-            qs = probe_map.get(int(b))
-            if qs is None:
-                continue
-            cols = np.flatnonzero(part == b)
-            kk = min(k + 1, len(cols))
-            for qi in qs:
-                # tie-aware truncation: (dist, nid) — the ann_pq contract
-                sub_d = dist[qi, cols]
-                idx = cols[np.lexsort((v_ids[cols], sub_d))[:kk]]
-                for jj in idx:
-                    if v_ids[jj] == q_ids[qi]:
-                        continue
-                    out_q.append(q_ids[qi])
-                    out_n.append(v_ids[jj])
-                    out_d.append(dist[qi, jj])
-        return pd.DataFrame(
-            {
-                "query_id": pd.Series(out_q, dtype="int64"),
-                "neighbor_id": pd.Series(out_n, dtype="int64"),
-                "dist": pd.Series(out_d, dtype="float64"),
-            }
-        )
-
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["dist", "neighbor_id"], ascending=[True, True]).head(k)
-        return pd.DataFrame(
-            {
-                "query_id": g["query_id"].astype("int64").values,
-                "neighbor_id": g["neighbor_id"].astype("int64").values,
-                "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-            }
-        )
-
-    out = (
-        ray.data.read_parquet(path, columns=["vec_id", "embedding"])
-        .map_batches(_partial, batch_format="pandas", batch_size=1024)
-        # plain groupby: query_id is dimension-sized
-        .groupby("query_id")
-        .map_groups(_final, batch_format="pandas")
-        .to_pandas()
-    )
-    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
+    q_ids, q_mat = _load_queries(path, n_queries)
+    router = _kmeans_router(q_mat, coarse, len(coarse) if probe_all else nprobe)
+    return _scan_topk(path, q_ids, router, _adc(q_mat, books), k)
